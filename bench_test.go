@@ -2,7 +2,7 @@
 // paper (Figs. 1-6 — the paper's evaluation is qualitative, so each flow is
 // reproduced as a measured protocol execution on the in-process HTTP
 // substrate), plus the model-comparison and scaling experiments derived
-// from Sections III, V and VIII. EXPERIMENTS.md records the results.
+// from Sections III, V and VIII. docs/BENCHMARKS.md records the results.
 //
 // Run with: go test -bench=. -benchmem
 package umac_test
@@ -860,15 +860,15 @@ func BenchmarkDecisionBatchVsSingle(b *testing.B) {
 }
 
 // BenchmarkDecisionScopedInvalidation measures the cost of one unrelated
-// policy change against a hot cache: with drop-all invalidation every
-// change forces a full re-query stampede of the hot set; with scoped
-// invalidation the hot entries survive and the AM sees nothing.
+// policy change against a hot cache subscribed to the invalidation stream:
+// with drop-all invalidation (the whole cache is dropped once the streamed
+// eviction lands) every change forces a full re-query stampede of the hot
+// set; with scoped invalidation the hot entries survive and the AM sees
+// nothing.
 func BenchmarkDecisionScopedInvalidation(b *testing.B) {
 	const hot = 32
 	run := func(b *testing.B, scoped bool) {
 		w, h, pairs, req := decisionBenchFixture(b, hot)
-		h.Enforcer.Cache().SetScopedInvalidation(scoped)
-		w.AM.EnableInvalidationPush(nil)
 		// An unrelated realm whose policy churns each iteration.
 		coldPol, err := w.AM.CreatePolicy("bob", policy.Policy{
 			Owner: "bob", Name: "cold", Kind: policy.KindGeneral,
@@ -885,18 +885,26 @@ func BenchmarkDecisionScopedInvalidation(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		// Quiesce the setup's link-push before warming, so the generation
-		// guard does not drop the warmup fill.
-		w.AM.FlushInvalidations()
+		// Subscribe after setup: the link's invalidation is not replayed,
+		// so the generation guard cannot drop the warmup fill.
+		if err := w.SubscribeInvalidations(h, "bob"); err != nil {
+			b.Fatal(err)
+		}
 		warm()
 		w.ResetAMRequests()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			coldPol.Name = fmt.Sprintf("cold-%d", i)
+			gen := h.Enforcer.Cache().Gen()
 			if err := w.AM.UpdatePolicy("bob", coldPol); err != nil {
 				b.Fatal(err)
 			}
-			w.AM.FlushInvalidations()
+			if err := h.AwaitInvalidation(gen); err != nil {
+				b.Fatal(err)
+			}
+			if !scoped {
+				h.Enforcer.Cache().Invalidate()
+			}
 			warm()
 		}
 		b.ReportMetric(float64(w.AMRequests())/float64(b.N), "am-rt/op")

@@ -9,8 +9,7 @@
 // write is appended to a write-ahead log beside the state file before it is
 // acknowledged, so a hard kill loses nothing. Snapshots every
 // -snapshot-every interval (and on shutdown) compact the log. Pass -fsync
-// to also survive machine crashes, or -no-wal for the legacy
-// snapshot-only behaviour. Browser-facing endpoints authenticate via the
+// to also survive machine crashes. Browser-facing endpoints authenticate via the
 // X-Umac-User header (front it with a real SSO proxy in production).
 //
 // Replication (see docs/OPERATIONS.md for the full runbook):
@@ -71,11 +70,9 @@ func main() {
 		name     = flag.String("name", "am", "AM display name")
 		baseURL  = flag.String("base-url", "", "externally reachable URL (default http://<addr>)")
 		statef   = flag.String("state", "", "state file (empty = in-memory only)")
-		snapshot = flag.String("snapshot", "", "deprecated alias for -state")
 		every    = flag.Duration("snapshot-every", time.Minute, "WAL compaction (snapshot) interval")
 		tokenTTL = flag.Duration("token-ttl", 30*time.Minute, "authorization token lifetime")
 		fsync    = flag.Bool("fsync", false, "fsync the WAL on every write (survive machine crashes, not just process kills)")
-		noWAL    = flag.Bool("no-wal", false, "disable the write-ahead log (persist on snapshot only)")
 		walSeg   = flag.Int64("wal-segment-size", 0, "WAL segment roll threshold in bytes (0 = default 4 MiB)")
 
 		role      = flag.String("role", "", "replication role: \"primary\" or \"follower\" (empty = standalone)")
@@ -100,9 +97,6 @@ func main() {
 		rateIPBurst      = flag.Float64("rate-ip-burst", 0, "per-remote-IP burst capacity (0 = 10x rate)")
 	)
 	flag.Parse()
-	if *statef == "" {
-		*statef = *snapshot
-	}
 
 	secret := readSecret(*replSec, *replSecF, "repl-secret")
 	key := readSecret(*tokenKey, *tokenKeyF, "token-key")
@@ -156,9 +150,6 @@ func main() {
 	st := umac.NewStore()
 	if *statef != "" {
 		var opts []umac.StoreOption
-		if *noWAL {
-			opts = append(opts, umac.StoreWithoutWAL())
-		}
 		if *fsync {
 			opts = append(opts, umac.StoreWithFsync())
 		}

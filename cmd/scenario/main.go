@@ -1,7 +1,7 @@
 // Command scenario is the experiment driver: it executes the paper-derived
 // experiments E9 (protocol-model comparison) and E10 (consolidated audit)
 // on the in-process deployment and prints the tables recorded in
-// EXPERIMENTS.md. Timing-oriented experiments (E1-E8, E11-E12) live in the
+// docs/BENCHMARKS.md. Timing-oriented experiments (E1-E8, E11-E12) live in the
 // testing.B harness (go test -bench).
 //
 // Usage:

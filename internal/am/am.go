@@ -203,7 +203,6 @@ type AM struct {
 	mu       sync.Mutex
 	pending  map[string]pendingPairing // one-time pairing codes
 	consents map[string]*consentTicket
-	inval    *invalidator
 }
 
 // pendingPairing is a one-time code awaiting Host exchange (the back leg of

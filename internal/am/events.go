@@ -111,6 +111,30 @@ func parseEventTypes(r *http.Request) ([]core.EventType, error) {
 	return out, nil
 }
 
+// pushInvalidation announces that owner's policies changed, realising the
+// Section V.B.5 requirement that revocations take effect immediately rather
+// than at cache-TTL expiry. Call sites are the PAP mutations (policy
+// update/delete, link changes, group changes). realms and resources scope
+// the change: the compiled decision index and subscribed Hosts evict only
+// the matching entries, so unrelated cached decisions keep serving. Both
+// empty means "everything of owner's" (group changes, which may affect any
+// policy). Hosts that do not subscribe converge at TTL expiry.
+func (a *AM) pushInvalidation(owner core.UserID, realms []core.RealmID, resources []core.ResourceID) {
+	// The index has no TTL backstop, so it is dropped synchronously.
+	if a.index != nil {
+		a.index.invalidate(owner, realms, resources)
+	}
+	a.broker.Publish(core.Event{
+		Type:  core.EventInvalidation,
+		Owner: owner,
+		Invalidation: &core.InvalidationPush{
+			Owner:     owner,
+			Realms:    realms,
+			Resources: resources,
+		},
+	})
+}
+
 // handleEvents serves GET /v1/events: the general subscription surface.
 // Two credentials are accepted: the replication secret as a bearer token
 // grants the unfiltered node-wide stream (operators, dashboards), and a

@@ -247,7 +247,7 @@ func TestEventsConsentStreamEndToEnd(t *testing.T) {
 	if err := f.am.LinkGeneral("bob", "private", p.ID); err != nil {
 		t.Fatal(err)
 	}
-	resp := f.do(t, "", http.MethodPost, "/token", core.TokenRequest{
+	resp := f.do(t, "", http.MethodPost, "/v1/token", core.TokenRequest{
 		Requester: "editor", Subject: "evelyn", Host: "webpics",
 		Realm: "private", Resource: "diary", Action: core.ActionRead,
 	})
@@ -261,7 +261,7 @@ func TestEventsConsentStreamEndToEnd(t *testing.T) {
 	// decoy first.
 	f.am.Events().Publish(core.Event{Type: core.EventConsent, Owner: "bob", Ticket: "other",
 		Consent: &core.ConsentStatus{Ticket: "other", Resolved: true}})
-	f.do(t, "bob", http.MethodPost, "/consents/"+tr.PendingConsent, map[string]bool{"approve": true}).Body.Close()
+	f.do(t, "bob", http.MethodPost, "/v1/consents/"+tr.PendingConsent, map[string]bool{"approve": true}).Body.Close()
 
 	e := c.nextEvent(t)
 	if e.Type != core.EventConsent || e.Ticket != tr.PendingConsent {

@@ -31,7 +31,7 @@ func TestHTTPConsentEndpoints(t *testing.T) {
 	}
 
 	// Requester asks for a token: 202 with a consent ticket.
-	resp := f.do(t, "", http.MethodPost, "/token", core.TokenRequest{
+	resp := f.do(t, "", http.MethodPost, "/v1/token", core.TokenRequest{
 		Requester: "editor", Subject: "evelyn", Host: "webpics",
 		Realm: "private", Resource: "diary", Action: core.ActionRead,
 	})
@@ -44,31 +44,31 @@ func TestHTTPConsentEndpoints(t *testing.T) {
 	}
 
 	// Owner lists pending consents over HTTP.
-	resp = f.do(t, "bob", http.MethodGet, "/consents", nil)
+	resp = f.do(t, "bob", http.MethodGet, "/v1/consents", nil)
 	pending := decodeBody[[]core.ConsentStatus](t, resp)
 	if len(pending) != 1 || pending[0].Ticket != tr.PendingConsent {
 		t.Fatalf("pending = %+v", pending)
 	}
 	// Mallory cannot resolve it.
-	resp = f.do(t, "mallory", http.MethodPost, "/consents/"+tr.PendingConsent, map[string]bool{"approve": true})
+	resp = f.do(t, "mallory", http.MethodPost, "/v1/consents/"+tr.PendingConsent, map[string]bool{"approve": true})
 	resp.Body.Close()
 	if resp.StatusCode == 200 {
 		t.Fatal("mallory resolved bob's consent")
 	}
 	// Bob approves over HTTP.
-	resp = f.do(t, "bob", http.MethodPost, "/consents/"+tr.PendingConsent, map[string]bool{"approve": true})
+	resp = f.do(t, "bob", http.MethodPost, "/v1/consents/"+tr.PendingConsent, map[string]bool{"approve": true})
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("resolve status = %d", resp.StatusCode)
 	}
 	// Requester collects the token.
-	resp = f.do(t, "", http.MethodGet, "/token/status?ticket="+tr.PendingConsent, nil)
+	resp = f.do(t, "", http.MethodGet, "/v1/token/status?ticket="+tr.PendingConsent, nil)
 	st := decodeBody[core.ConsentStatus](t, resp)
 	if !st.Resolved || !st.Approved || st.Token == "" {
 		t.Fatalf("status = %+v", st)
 	}
 	// Bad body on resolve → 400.
-	req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/consents/x", nil)
+	req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/v1/consents/x", nil)
 	req.Header.Set("X-Umac-User", "bob")
 	r2, err := http.DefaultClient.Do(req)
 	if err != nil {
@@ -83,8 +83,8 @@ func TestHTTPConsentEndpoints(t *testing.T) {
 // TestHTTPCustodianListAndAccessors covers the remaining read paths.
 func TestHTTPCustodianListAndAccessors(t *testing.T) {
 	f := newHTTPFixture(t)
-	f.do(t, "bob", http.MethodPost, "/custodians", map[string]string{"custodian": "carol"}).Body.Close()
-	resp := f.do(t, "bob", http.MethodGet, "/custodians", nil)
+	f.do(t, "bob", http.MethodPost, "/v1/custodians", map[string]string{"custodian": "carol"}).Body.Close()
+	resp := f.do(t, "bob", http.MethodGet, "/v1/custodians", nil)
 	if got := decodeBody[[]core.UserID](t, resp); len(got) != 1 || got[0] != "carol" {
 		t.Fatalf("custodians = %v", got)
 	}

@@ -83,28 +83,24 @@ func simplePolicy(owner string) policy.Policy {
 
 func TestHTTPHealthz(t *testing.T) {
 	f := newHTTPFixture(t)
-	// Both the legacy alias and the canonical v1 path serve the upgraded
-	// subsystem-health report.
-	for _, path := range []string{"/healthz", "/v1/healthz"} {
-		resp := f.do(t, "", http.MethodGet, path, nil)
-		if resp.StatusCode != 200 {
-			t.Fatalf("%s status = %d", path, resp.StatusCode)
-		}
-		body := decodeBody[map[string]any](t, resp)
-		if body["status"] != "ok" {
-			t.Fatalf("%s body = %v", path, body)
-		}
-		for _, key := range []string{"store", "audit"} {
-			if _, ok := body[key].(map[string]any); !ok {
-				t.Fatalf("%s body missing %s report: %v", path, key, body)
-			}
+	resp := f.do(t, "", http.MethodGet, "/v1/healthz", nil)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	body := decodeBody[map[string]any](t, resp)
+	if body["status"] != "ok" {
+		t.Fatalf("body = %v", body)
+	}
+	for _, key := range []string{"store", "audit"} {
+		if _, ok := body[key].(map[string]any); !ok {
+			t.Fatalf("body missing %s report: %v", key, body)
 		}
 	}
 }
 
 func TestHTTPRequiresAuth(t *testing.T) {
 	f := newHTTPFixture(t)
-	for _, path := range []string{"/policies", "/groups", "/audit", "/consents", "/pairings"} {
+	for _, path := range []string{"/v1/policies", "/v1/groups", "/v1/audit", "/v1/consents", "/v1/pairings"} {
 		resp := f.do(t, "", http.MethodGet, path, nil)
 		resp.Body.Close()
 		if resp.StatusCode != 401 {
@@ -116,7 +112,7 @@ func TestHTTPRequiresAuth(t *testing.T) {
 func TestHTTPPolicyCRUD(t *testing.T) {
 	f := newHTTPFixture(t)
 	// Create.
-	resp := f.do(t, "bob", http.MethodPost, "/policies", simplePolicy("bob"))
+	resp := f.do(t, "bob", http.MethodPost, "/v1/policies", simplePolicy("bob"))
 	if resp.StatusCode != 201 {
 		t.Fatalf("create status = %d", resp.StatusCode)
 	}
@@ -125,31 +121,31 @@ func TestHTTPPolicyCRUD(t *testing.T) {
 		t.Fatalf("created = %+v", created)
 	}
 	// Get.
-	resp = f.do(t, "bob", http.MethodGet, "/policies/"+string(created.ID), nil)
+	resp = f.do(t, "bob", http.MethodGet, "/v1/policies/"+string(created.ID), nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("get status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// List.
-	resp = f.do(t, "bob", http.MethodGet, "/policies", nil)
+	resp = f.do(t, "bob", http.MethodGet, "/v1/policies", nil)
 	if got := decodeBody[[]policy.Policy](t, resp); len(got) != 1 {
 		t.Fatalf("list = %d", len(got))
 	}
 	// Update.
 	created.Name = "renamed"
-	resp = f.do(t, "bob", http.MethodPut, "/policies/"+string(created.ID), created)
+	resp = f.do(t, "bob", http.MethodPut, "/v1/policies/"+string(created.ID), created)
 	if resp.StatusCode != 200 {
 		t.Fatalf("update status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// Delete.
-	resp = f.do(t, "bob", http.MethodDelete, "/policies/"+string(created.ID), nil)
+	resp = f.do(t, "bob", http.MethodDelete, "/v1/policies/"+string(created.ID), nil)
 	if resp.StatusCode != 204 {
 		t.Fatalf("delete status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// Get after delete.
-	resp = f.do(t, "bob", http.MethodGet, "/policies/"+string(created.ID), nil)
+	resp = f.do(t, "bob", http.MethodGet, "/v1/policies/"+string(created.ID), nil)
 	resp.Body.Close()
 	if resp.StatusCode != 404 {
 		t.Fatalf("get-after-delete status = %d", resp.StatusCode)
@@ -158,28 +154,28 @@ func TestHTTPPolicyCRUD(t *testing.T) {
 
 func TestHTTPPolicyIsolationBetweenUsers(t *testing.T) {
 	f := newHTTPFixture(t)
-	resp := f.do(t, "bob", http.MethodPost, "/policies", simplePolicy("bob"))
+	resp := f.do(t, "bob", http.MethodPost, "/v1/policies", simplePolicy("bob"))
 	created := decodeBody[policy.Policy](t, resp)
 
 	// Mallory cannot view, update or delete bob's policy.
-	resp = f.do(t, "mallory", http.MethodGet, "/policies/"+string(created.ID), nil)
+	resp = f.do(t, "mallory", http.MethodGet, "/v1/policies/"+string(created.ID), nil)
 	resp.Body.Close()
 	if resp.StatusCode != 403 {
 		t.Fatalf("mallory get = %d", resp.StatusCode)
 	}
-	resp = f.do(t, "mallory", http.MethodDelete, "/policies/"+string(created.ID), nil)
+	resp = f.do(t, "mallory", http.MethodDelete, "/v1/policies/"+string(created.ID), nil)
 	resp.Body.Close()
 	if resp.StatusCode == 204 {
 		t.Fatal("mallory deleted bob's policy")
 	}
 	// Mallory cannot list bob's policies either.
-	resp = f.do(t, "mallory", http.MethodGet, "/policies?owner=bob", nil)
+	resp = f.do(t, "mallory", http.MethodGet, "/v1/policies?owner=bob", nil)
 	resp.Body.Close()
 	if resp.StatusCode != 403 {
 		t.Fatalf("mallory list = %d", resp.StatusCode)
 	}
 	// Mallory cannot create a policy owned by bob.
-	resp = f.do(t, "mallory", http.MethodPost, "/policies", simplePolicy("bob"))
+	resp = f.do(t, "mallory", http.MethodPost, "/v1/policies", simplePolicy("bob"))
 	resp.Body.Close()
 	if resp.StatusCode == 201 {
 		t.Fatal("mallory created bob's policy")
@@ -188,10 +184,10 @@ func TestHTTPPolicyIsolationBetweenUsers(t *testing.T) {
 
 func TestHTTPPolicyExportImport(t *testing.T) {
 	f := newHTTPFixture(t)
-	f.do(t, "bob", http.MethodPost, "/policies", simplePolicy("bob")).Body.Close()
+	f.do(t, "bob", http.MethodPost, "/v1/policies", simplePolicy("bob")).Body.Close()
 
 	for _, format := range []string{"json", "xml"} {
-		resp := f.do(t, "bob", http.MethodGet, "/policies/export?format="+format, nil)
+		resp := f.do(t, "bob", http.MethodGet, "/v1/policies/export?format="+format, nil)
 		if resp.StatusCode != 200 {
 			t.Fatalf("%s export status = %d", format, resp.StatusCode)
 		}
@@ -199,7 +195,7 @@ func TestHTTPPolicyExportImport(t *testing.T) {
 		resp.Body.Close()
 
 		// Import into alice's account.
-		req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/policies/import?format="+format,
+		req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/v1/policies/import?format="+format,
 			bytes.NewReader(exported))
 		req.Header.Set(identity.DefaultUserHeader, "alice")
 		resp2, err := http.DefaultClient.Do(req)
@@ -216,11 +212,11 @@ func TestHTTPPolicyExportImport(t *testing.T) {
 	}
 	// Each cross-owner import is re-keyed, so alice accumulates one policy
 	// per import — and bob's original is never clobbered.
-	resp := f.do(t, "alice", http.MethodGet, "/policies", nil)
+	resp := f.do(t, "alice", http.MethodGet, "/v1/policies", nil)
 	if got := decodeBody[[]policy.Policy](t, resp); len(got) != 2 {
 		t.Fatalf("alice policies = %d", len(got))
 	}
-	resp = f.do(t, "bob", http.MethodGet, "/policies", nil)
+	resp = f.do(t, "bob", http.MethodGet, "/v1/policies", nil)
 	if got := decodeBody[[]policy.Policy](t, resp); len(got) != 1 || got[0].Owner != "bob" {
 		t.Fatalf("bob's policies disturbed by imports: %+v", got)
 	}
@@ -228,7 +224,7 @@ func TestHTTPPolicyExportImport(t *testing.T) {
 
 func TestHTTPGroupLifecycle(t *testing.T) {
 	f := newHTTPFixture(t)
-	resp := f.do(t, "bob", http.MethodPost, "/groups/friends/members", map[string]string{"user": "alice"})
+	resp := f.do(t, "bob", http.MethodPost, "/v1/groups/friends/members", map[string]string{"user": "alice"})
 	if resp.StatusCode != 200 {
 		t.Fatalf("add status = %d", resp.StatusCode)
 	}
@@ -236,16 +232,16 @@ func TestHTTPGroupLifecycle(t *testing.T) {
 	if len(members) != 1 || members[0] != "alice" {
 		t.Fatalf("members = %v", members)
 	}
-	resp = f.do(t, "bob", http.MethodGet, "/groups", nil)
+	resp = f.do(t, "bob", http.MethodGet, "/v1/groups", nil)
 	if groups := decodeBody[[]string](t, resp); len(groups) != 1 || groups[0] != "friends" {
 		t.Fatalf("groups = %v", groups)
 	}
-	resp = f.do(t, "bob", http.MethodDelete, "/groups/friends/members/alice", nil)
+	resp = f.do(t, "bob", http.MethodDelete, "/v1/groups/friends/members/alice", nil)
 	resp.Body.Close()
 	if resp.StatusCode != 204 {
 		t.Fatalf("remove status = %d", resp.StatusCode)
 	}
-	resp = f.do(t, "bob", http.MethodGet, "/groups/friends/members", nil)
+	resp = f.do(t, "bob", http.MethodGet, "/v1/groups/friends/members", nil)
 	if members := decodeBody[[]core.UserID](t, resp); len(members) != 0 {
 		t.Fatalf("members after remove = %v", members)
 	}
@@ -253,24 +249,24 @@ func TestHTTPGroupLifecycle(t *testing.T) {
 
 func TestHTTPCustodianLifecycle(t *testing.T) {
 	f := newHTTPFixture(t)
-	resp := f.do(t, "bob", http.MethodPost, "/custodians", map[string]string{"custodian": "carol"})
+	resp := f.do(t, "bob", http.MethodPost, "/v1/custodians", map[string]string{"custodian": "carol"})
 	if resp.StatusCode != 200 {
 		t.Fatalf("add status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// Carol can now create policies for bob over HTTP.
-	resp = f.do(t, "carol", http.MethodPost, "/policies", simplePolicy("bob"))
+	resp = f.do(t, "carol", http.MethodPost, "/v1/policies", simplePolicy("bob"))
 	if resp.StatusCode != 201 {
 		t.Fatalf("custodian create status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// Remove; carol loses the right.
-	resp = f.do(t, "bob", http.MethodDelete, "/custodians/carol", nil)
+	resp = f.do(t, "bob", http.MethodDelete, "/v1/custodians/carol", nil)
 	resp.Body.Close()
 	if resp.StatusCode != 204 {
 		t.Fatalf("remove status = %d", resp.StatusCode)
 	}
-	resp = f.do(t, "carol", http.MethodPost, "/policies", simplePolicy("bob"))
+	resp = f.do(t, "carol", http.MethodPost, "/v1/policies", simplePolicy("bob"))
 	resp.Body.Close()
 	if resp.StatusCode == 201 {
 		t.Fatal("removed custodian still creates")
@@ -282,7 +278,7 @@ func TestHTTPPairConfirmRedirect(t *testing.T) {
 	client := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
 		return http.ErrUseLastResponse
 	}}
-	u := f.srv.URL + "/pair/confirm?" + url.Values{
+	u := f.srv.URL + "/v1/pair/confirm?" + url.Values{
 		core.ParamHost:     {"webpics"},
 		"host_url":         {"http://pics.example"},
 		core.ParamReturnTo: {"http://pics.example/umac/pair/callback?am=x"},
@@ -304,7 +300,7 @@ func TestHTTPPairConfirmRedirect(t *testing.T) {
 	}
 	// The code exchanges for a pairing.
 	body, _ := json.Marshal(map[string]string{"code": code, "host": "webpics"})
-	resp2, err := http.Post(f.srv.URL+"/api/pair/exchange", "application/json", bytes.NewReader(body))
+	resp2, err := http.Post(f.srv.URL+"/v1/api/pair/exchange", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,13 +309,13 @@ func TestHTTPPairConfirmRedirect(t *testing.T) {
 		t.Fatalf("pairing = %+v", pr)
 	}
 	// Pairing list hides the secret.
-	resp3 := f.do(t, "bob", http.MethodGet, "/pairings", nil)
+	resp3 := f.do(t, "bob", http.MethodGet, "/v1/pairings", nil)
 	pairings := decodeBody[[]Pairing](t, resp3)
 	if len(pairings) != 1 || pairings[0].Secret != "" {
 		t.Fatalf("pairings = %+v", pairings)
 	}
 	// Revoke over HTTP.
-	resp4 := f.do(t, "bob", http.MethodPost, "/pairings/"+pairings[0].ID+"/revoke", map[string]string{})
+	resp4 := f.do(t, "bob", http.MethodDelete, "/v1/pairings/"+pairings[0].ID, nil)
 	resp4.Body.Close()
 	if resp4.StatusCode != 200 {
 		t.Fatalf("revoke status = %d", resp4.StatusCode)
@@ -329,7 +325,7 @@ func TestHTTPPairConfirmRedirect(t *testing.T) {
 
 func TestHTTPPairConfirmWithoutReturnToGivesJSON(t *testing.T) {
 	f := newHTTPFixture(t)
-	resp := f.do(t, "bob", http.MethodGet, "/pair/confirm?host=webpics", nil)
+	resp := f.do(t, "bob", http.MethodGet, "/v1/pair/confirm?host=webpics", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
@@ -342,7 +338,7 @@ func TestHTTPPairConfirmWithoutReturnToGivesJSON(t *testing.T) {
 func TestHTTPExchangeBadCode(t *testing.T) {
 	f := newHTTPFixture(t)
 	body, _ := json.Marshal(map[string]string{"code": "code-bogus", "host": "webpics"})
-	resp, err := http.Post(f.srv.URL+"/api/pair/exchange", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(f.srv.URL+"/v1/api/pair/exchange", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +350,7 @@ func TestHTTPExchangeBadCode(t *testing.T) {
 
 func TestHTTPSignedEndpointsRejectUnsigned(t *testing.T) {
 	f := newHTTPFixture(t)
-	for _, path := range []string{"/api/protect", "/api/decision", "/api/decision/pull", "/api/decision/state"} {
+	for _, path := range []string{"/v1/api/protect", "/v1/api/decision", "/v1/api/decision/pull", "/v1/api/decision/state"} {
 		resp, err := http.Post(f.srv.URL+path, "application/json", strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
@@ -375,7 +371,7 @@ func TestHTTPSignedEndpointRejectsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte(`{"pairing_id":"x","user":"bob","realm":"travel"}`)
-	req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/api/protect", bytes.NewReader(payload))
+	req, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/v1/api/protect", bytes.NewReader(payload))
 	req.Header.Set("Content-Type", "application/json")
 	if err := httpsig.Sign(req, pr.PairingID, pr.Secret); err != nil {
 		t.Fatal(err)
@@ -389,7 +385,7 @@ func TestHTTPSignedEndpointRejectsReplay(t *testing.T) {
 		t.Fatalf("first request status = %d", resp.StatusCode)
 	}
 	// Identical signed request again: replayed nonce → 409.
-	req2, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/api/protect", bytes.NewReader(payload))
+	req2, _ := http.NewRequest(http.MethodPost, f.srv.URL+"/v1/api/protect", bytes.NewReader(payload))
 	for _, h := range []string{"X-Umac-Pairing", "X-Umac-Timestamp", "X-Umac-Nonce", "X-Umac-Signature"} {
 		req2.Header.Set(h, req.Header.Get(h))
 	}
@@ -418,7 +414,7 @@ func TestHTTPTokenEndpointStatuses(t *testing.T) {
 
 	post := func(body core.TokenRequest) *http.Response {
 		b, _ := json.Marshal(body)
-		resp, err := http.Post(f.srv.URL+"/token", "application/json", bytes.NewReader(b))
+		resp, err := http.Post(f.srv.URL+"/v1/token", "application/json", bytes.NewReader(b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +451,7 @@ func TestHTTPTokenEndpointStatuses(t *testing.T) {
 		t.Fatalf("unknown realm status = %d", resp.StatusCode)
 	}
 	// Garbage body → 400.
-	respG, err := http.Post(f.srv.URL+"/token", "application/json", strings.NewReader("{nope"))
+	respG, err := http.Post(f.srv.URL+"/v1/token", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +460,7 @@ func TestHTTPTokenEndpointStatuses(t *testing.T) {
 		t.Fatalf("garbage status = %d", respG.StatusCode)
 	}
 	// Token status for unknown ticket → 404.
-	respS, err := http.Get(f.srv.URL + "/token/status?ticket=ticket-none")
+	respS, err := http.Get(f.srv.URL + "/v1/token/status?ticket=ticket-none")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,8 +472,8 @@ func TestHTTPTokenEndpointStatuses(t *testing.T) {
 
 func TestHTTPAuditEndpoints(t *testing.T) {
 	f := newHTTPFixture(t)
-	f.do(t, "bob", http.MethodPost, "/policies", simplePolicy("bob")).Body.Close()
-	resp := f.do(t, "bob", http.MethodGet, "/audit", nil)
+	f.do(t, "bob", http.MethodPost, "/v1/policies", simplePolicy("bob")).Body.Close()
+	resp := f.do(t, "bob", http.MethodGet, "/v1/audit", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("audit status = %d", resp.StatusCode)
 	}
@@ -485,13 +481,13 @@ func TestHTTPAuditEndpoints(t *testing.T) {
 	if len(events) == 0 {
 		t.Fatal("no audit events")
 	}
-	resp = f.do(t, "bob", http.MethodGet, "/audit/summary", nil)
+	resp = f.do(t, "bob", http.MethodGet, "/v1/audit/summary", nil)
 	if resp.StatusCode != 200 {
 		t.Fatalf("summary status = %d", resp.StatusCode)
 	}
 	resp.Body.Close()
 	// Cross-user audit denied.
-	resp = f.do(t, "mallory", http.MethodGet, "/audit?owner=bob", nil)
+	resp = f.do(t, "mallory", http.MethodGet, "/v1/audit?owner=bob", nil)
 	resp.Body.Close()
 	if resp.StatusCode != 403 {
 		t.Fatalf("mallory audit = %d", resp.StatusCode)
@@ -500,8 +496,8 @@ func TestHTTPAuditEndpoints(t *testing.T) {
 
 func TestHTTPComposePage(t *testing.T) {
 	f := newHTTPFixture(t)
-	f.do(t, "bob", http.MethodPost, "/policies", simplePolicy("bob")).Body.Close()
-	resp := f.do(t, "bob", http.MethodGet, "/compose?host=webpics&realm=travel", nil)
+	f.do(t, "bob", http.MethodPost, "/v1/policies", simplePolicy("bob")).Body.Close()
+	resp := f.do(t, "bob", http.MethodGet, "/v1/compose?host=webpics&realm=travel", nil)
 	defer resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("status = %d", resp.StatusCode)
@@ -517,38 +513,38 @@ func TestHTTPComposePage(t *testing.T) {
 
 func TestHTTPLinkEndpoints(t *testing.T) {
 	f := newHTTPFixture(t)
-	resp := f.do(t, "bob", http.MethodPost, "/policies", simplePolicy("bob"))
+	resp := f.do(t, "bob", http.MethodPost, "/v1/policies", simplePolicy("bob"))
 	gen := decodeBody[policy.Policy](t, resp)
 	spec := simplePolicy("bob")
 	spec.Kind = policy.KindSpecific
-	resp = f.do(t, "bob", http.MethodPost, "/policies", spec)
+	resp = f.do(t, "bob", http.MethodPost, "/v1/policies", spec)
 	specCreated := decodeBody[policy.Policy](t, resp)
 
-	resp = f.do(t, "bob", http.MethodPost, "/links/general",
+	resp = f.do(t, "bob", http.MethodPost, "/v1/links/general",
 		map[string]string{"realm": "travel", "policy": string(gen.ID)})
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("link general = %d", resp.StatusCode)
 	}
-	resp = f.do(t, "bob", http.MethodPost, "/links/specific",
+	resp = f.do(t, "bob", http.MethodPost, "/v1/links/specific",
 		map[string]string{"host": "webpics", "resource": "p1", "policy": string(specCreated.ID)})
 	resp.Body.Close()
 	if resp.StatusCode != 200 {
 		t.Fatalf("link specific = %d", resp.StatusCode)
 	}
 	// Unlink.
-	resp = f.do(t, "bob", http.MethodDelete, "/links/general?realm=travel", nil)
+	resp = f.do(t, "bob", http.MethodDelete, "/v1/links/general?realm=travel", nil)
 	resp.Body.Close()
 	if resp.StatusCode != 204 {
 		t.Fatalf("unlink general = %d", resp.StatusCode)
 	}
-	resp = f.do(t, "bob", http.MethodDelete, "/links/specific?host=webpics&resource=p1", nil)
+	resp = f.do(t, "bob", http.MethodDelete, "/v1/links/specific?host=webpics&resource=p1", nil)
 	resp.Body.Close()
 	if resp.StatusCode != 204 {
 		t.Fatalf("unlink specific = %d", resp.StatusCode)
 	}
 	// Kind mismatch over HTTP → 400.
-	resp = f.do(t, "bob", http.MethodPost, "/links/general",
+	resp = f.do(t, "bob", http.MethodPost, "/v1/links/general",
 		map[string]string{"realm": "travel", "policy": string(specCreated.ID)})
 	resp.Body.Close()
 	if resp.StatusCode != 400 {

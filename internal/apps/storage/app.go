@@ -114,7 +114,6 @@ func (a *App) authorize(w http.ResponseWriter, r *http.Request, owner core.UserI
 func (a *App) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/umac/pair/callback", a.Enforcer.HandlePairCallback)
-	mux.HandleFunc("POST /umac/invalidate", a.Enforcer.HandleInvalidate)
 
 	mux.HandleFunc("GET /files/{owner}/{path...}", func(w http.ResponseWriter, r *http.Request) {
 		owner := core.UserID(r.PathValue("owner"))

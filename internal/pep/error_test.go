@@ -60,21 +60,6 @@ func TestCheckTokenProblemReferral(t *testing.T) {
 	}
 }
 
-// TestHandleInvalidateRejectsUnsigned: only the paired AM may clear caches.
-func TestHandleInvalidateRejectsUnsigned(t *testing.T) {
-	e := New(Config{Host: "webpics"})
-	e.Cache().Put("k", true, 600)
-	req, _ := http.NewRequest(http.MethodPost, "http://pics/umac/invalidate", nil)
-	rec := httptest.NewRecorder()
-	e.HandleInvalidate(rec, req)
-	if rec.Code != http.StatusUnauthorized {
-		t.Fatalf("status = %d", rec.Code)
-	}
-	if e.Cache().Len() != 1 {
-		t.Fatal("cache cleared by unsigned request")
-	}
-}
-
 // TestPairingSecretLookup covers the SecretSource across default and
 // realm-scoped pairings.
 func TestPairingSecretLookup(t *testing.T) {

@@ -12,9 +12,8 @@ import (
 // This file is the PEP's consumer of the AM's event control plane: a
 // subscription to GET /v1/events/invalidation (signed with the pairing
 // channel, like every Host→AM call) that applies scoped decision-cache
-// evictions the moment a policy changes — without the AM having to dial
-// back in through the legacy POST push, which stays mounted as the
-// fallback. The cache TTL remains the correctness backstop throughout:
+// evictions the moment a policy changes, without the AM ever dialing the
+// Host. The cache TTL remains the correctness backstop throughout:
 // losing the stream can only delay freshness, never grant stale access
 // beyond the TTL.
 
@@ -26,8 +25,8 @@ const DefaultStreamRetry = 15 * time.Second
 // invalidation events and applies them to the decision cache until Close.
 // On a persistent stream failure the whole cache is dropped once
 // (fail-safe: evictions may have been missed) and the subscription
-// retries after Config.StreamRetry — the legacy push handler and the TTL
-// carry freshness in the meantime. Call once per paired owner.
+// retries after Config.StreamRetry — the TTL carries freshness in the
+// meantime. Call once per paired owner.
 func (e *Enforcer) StartInvalidationStream(owner core.UserID) error {
 	p, ok := e.PairingFor(owner)
 	if !ok {
@@ -68,10 +67,12 @@ func (e *Enforcer) StartInvalidationStream(owner core.UserID) error {
 	return nil
 }
 
-// applyEvent applies one stream event to the decision cache, mirroring
-// HandleInvalidate's semantics: scoped eviction when the event names an
-// owner, full drop on anything doubtful (resync markers, unscoped
-// payloads) — when in doubt, never leave a stale permit behind.
+// applyEvent applies one stream event to the decision cache (Section
+// V.B.5): scoped eviction when the event names an owner and the
+// realms/resources a policy change affected, so unrelated cached
+// decisions keep serving locally; full drop on anything doubtful (resync
+// markers, unscoped payloads) — when in doubt, never leave a stale permit
+// behind.
 func (e *Enforcer) applyEvent(ev core.Event) {
 	switch ev.Type {
 	case core.EventResync:

@@ -13,8 +13,8 @@ import (
 
 // These tests prove the PEP's consumer side of the event control plane:
 // StartInvalidationStream subscribes over the signed channel and applies
-// scoped evictions pushed by the AM — with no legacy POST push enabled —
-// and Close never waits out a parked stream read.
+// scoped evictions pushed by the AM, and Close never waits out a parked
+// stream read.
 
 // streamFixture pairs an Enforcer with a live AM over HTTP.
 type streamFixture struct {
@@ -70,7 +70,7 @@ func waitEmpty(t *testing.T, c *DecisionCache) {
 
 // TestInvalidationStreamEvictsScoped: a PAP mutation at the AM reaches the
 // subscribed PEP and evicts exactly the affected scope — the AM never
-// dials the Host (no EnableInvalidationPush).
+// dials the Host.
 func TestInvalidationStreamEvictsScoped(t *testing.T) {
 	f := newStreamFixture(t, "bob")
 	if err := f.enf.Protect("bob", "travel", nil, ""); err != nil {

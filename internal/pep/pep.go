@@ -23,7 +23,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -32,7 +31,6 @@ import (
 
 	"umac/internal/amclient"
 	"umac/internal/core"
-	"umac/internal/httpsig"
 	"umac/internal/store"
 )
 
@@ -114,9 +112,6 @@ type Enforcer struct {
 	cache   *DecisionCache
 	tracer  *core.Tracer
 	store   *store.Store // nil = memory-only pairings
-
-	verifierOnce sync.Once
-	verifier     *httpsig.Verifier
 
 	// streamCtx governs every subscription goroutine (see events.go):
 	// Close cancels it, which severs parked stream reads and reconnect
@@ -311,8 +306,7 @@ func (e *Enforcer) HandlePairCallback(w http.ResponseWriter, r *http.Request) {
 }
 
 // PairingSecret implements httpsig.SecretSource over the enforcer's
-// pairings, letting the Host verify AM-originated signed calls (cache
-// invalidation pushes).
+// default and realm pairings.
 func (e *Enforcer) PairingSecret(pairingID string) (string, bool) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -327,39 +321,6 @@ func (e *Enforcer) PairingSecret(pairingID string) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// HandleInvalidate serves the AM→Host decision-cache invalidation push
-// (mounted at am.InvalidatePath). The request must be signed with a known
-// pairing secret. The body (core.InvalidationPush) names the owner and the
-// realms/resources a policy change affected; only the matching cache
-// entries are evicted, so unrelated cached decisions keep serving locally
-// while the change still takes effect immediately (Section V.B.5). A push
-// that names no owner — or an unreadable body — degrades to dropping the
-// whole cache: when in doubt, never leave a stale permit behind.
-func (e *Enforcer) HandleInvalidate(w http.ResponseWriter, r *http.Request) {
-	e.verifierOnce.Do(func() { e.verifier = httpsig.NewVerifier(e) })
-	if _, err := e.verifier.Verify(r); err != nil {
-		http.Error(w, err.Error(), http.StatusUnauthorized)
-		return
-	}
-	var push core.InvalidationPush
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&push); err != nil || push.Owner == "" {
-		e.cache.Invalidate()
-		e.trace(core.PhaseObtainingDecision, "am", "host:"+string(e.host),
-			"cache-invalidated", "all")
-		w.WriteHeader(http.StatusNoContent)
-		return
-	}
-	n := e.cache.InvalidateScope(Scope{
-		Owner:     push.Owner,
-		Realms:    push.Realms,
-		Resources: push.Resources,
-	})
-	e.trace(core.PhaseObtainingDecision, "am", "host:"+string(e.host),
-		"cache-invalidated", fmt.Sprintf("owner=%s realms=%d resources=%d evicted=%d",
-			push.Owner, len(push.Realms), len(push.Resources), n))
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // PairingFor returns the owner's default pairing.

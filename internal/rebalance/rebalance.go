@@ -146,7 +146,7 @@ type Coordinator struct {
 	running bool
 	status  core.RebalanceStatus
 	abort   bool
-	idle    chan struct{} // closed when the run loop exits; nil when idle
+	idle    chan struct{} // closed when the run loop exits; nil before the first run
 }
 
 // New builds a coordinator. It does not touch the store or the network;
@@ -259,20 +259,21 @@ func (c *Coordinator) Abort() (core.RebalanceStatus, error) {
 // Wait blocks until no run loop is active (or the timeout elapses) and
 // returns the latest status. Test and CLI helper.
 func (c *Coordinator) Wait(timeout time.Duration) core.RebalanceStatus {
-	deadline := time.Now().Add(timeout)
+	deadline := time.After(timeout)
 	for {
 		c.mu.Lock()
 		running, idle := c.running, c.idle
 		c.mu.Unlock()
+		// The run loop goes idle before it signals its terminal status;
+		// idle closes once the signal is out.
+		if idle != nil {
+			select {
+			case <-idle:
+			case <-deadline:
+				return c.Status()
+			}
+		}
 		if !running {
-			return c.Status()
-		}
-		select {
-		case <-idle:
-		case <-time.After(time.Until(deadline)):
-			return c.Status()
-		}
-		if time.Now().After(deadline) {
 			return c.Status()
 		}
 	}
@@ -423,12 +424,7 @@ func (c *Coordinator) launch(p *Plan) (core.RebalanceStatus, error) {
 	c.idle = idle
 	c.mu.Unlock()
 	go func() {
-		defer func() {
-			c.mu.Lock()
-			c.running = false
-			c.mu.Unlock()
-			close(idle)
-		}()
+		defer close(idle)
 		c.run(p)
 	}()
 	return st, nil
@@ -480,28 +476,41 @@ func (c *Coordinator) run(p *Plan) {
 		p.State = core.RebalanceAborted
 		c.savePlan(p)
 		st.State = p.State
-		c.setStatus(st)
+		c.finish(&st)
 		c.notify(core.SignalRebalanceAborted, "", st)
 		c.cfg.Logf("rebalance: plan %s aborted with %d/%d moves done", p.ID, st.Done, st.Total)
 	case err == nil:
 		p.State = core.RebalanceDone
 		c.savePlan(p)
 		st.State = p.State
-		c.setStatus(st)
+		c.finish(&st)
 		c.notify(core.SignalRebalanceDone, "", st)
 		c.cfg.Logf("rebalance: plan %s done (%d moves)", p.ID, st.Total)
 	case errors.Is(err, errCrashed):
 		// Leave the plan checkpointed as running; a restart resumes it.
+		c.finish(nil)
 		c.cfg.Logf("rebalance: plan %s stopped by test seam", p.ID)
 	default:
 		p.State = core.RebalanceFailed
 		p.Error = err.Error()
 		c.savePlan(p)
 		st.State, st.Error = p.State, p.Error
-		c.setStatus(st)
+		c.finish(&st)
 		c.notify(core.SignalRebalanceFailed, "", st)
 		c.cfg.Logf("rebalance: plan %s failed: %v", p.ID, err)
 	}
+}
+
+// finish publishes the run's terminal status (nil keeps the current one)
+// and marks the coordinator idle under one lock, so whoever observes the
+// terminal state can Start the next plan at once.
+func (c *Coordinator) finish(st *core.RebalanceStatus) {
+	c.mu.Lock()
+	if st != nil {
+		c.status = *st
+	}
+	c.running = false
+	c.mu.Unlock()
 }
 
 // execute performs the pin → ring → migrate → final-ring sequence. A nil

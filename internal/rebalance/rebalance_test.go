@@ -604,6 +604,63 @@ func TestRebalanceAbortUnderWrites(t *testing.T) {
 	}
 }
 
+// --- Terminal status: observable only once the coordinator is idle ---
+
+// TestRebalanceTerminalStatusMeansIdle: a caller that sees a run's
+// terminal state — its status or its lifecycle signal — may act on it at
+// once. The probe runs inside the aborted signal: the coordinator must
+// already report the aborted status and have nothing running to resume,
+// so a replan posted at that moment is not refused as a conflict.
+func TestRebalanceTerminalStatusMeansIdle(t *testing.T) {
+	r := newRig(t, "shard-a", "shard-b")
+	r.seedOwners(8)
+	added := r.addShard("shard-c")
+	plan := r.buildPlan(core.RebalanceRequest{Target: r.targetAdd(added)})
+	if len(plan.Moves) < 2 {
+		t.Fatalf("need at least 2 moves to abort mid-plan, got %d", len(plan.Moves))
+	}
+
+	var co *rebalance.Coordinator
+	var (
+		probed    bool
+		seenState string
+		resumed   bool
+		resumeErr error
+	)
+	co = r.coordinator("shard-a", rebalance.Config{
+		BeforeMove: func(m core.RebalanceMove) error {
+			if _, err := co.Abort(); err != nil {
+				t.Errorf("abort: %v", err)
+			}
+			return nil
+		},
+		Notify: func(signal string, owner core.UserID, st core.RebalanceStatus) {
+			if signal != core.SignalRebalanceAborted {
+				return
+			}
+			probed = true
+			seenState = co.Status().State
+			_, resumed, resumeErr = co.Resume()
+		},
+	})
+	if _, err := co.Start(plan); err != nil {
+		t.Fatal(err)
+	}
+	st := co.Wait(60 * time.Second)
+	if st.State != core.RebalanceAborted || st.Done != 1 {
+		t.Fatalf("run ended %q after %d/%d moves, want aborted after 1", st.State, st.Done, st.Total)
+	}
+	if !probed {
+		t.Fatal("no aborted signal")
+	}
+	if seenState != core.RebalanceAborted {
+		t.Fatalf("status during the aborted signal is %q, want aborted", seenState)
+	}
+	if resumeErr != nil || resumed {
+		t.Fatalf("coordinator still running when its aborted signal went out (resumed=%v err=%v)", resumed, resumeErr)
+	}
+}
+
 // --- Events: every lifecycle transition reaches an EventStream consumer ---
 
 func TestRebalanceEventStream(t *testing.T) {

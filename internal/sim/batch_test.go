@@ -211,7 +211,6 @@ func TestBatchDecisionWithoutToken(t *testing.T) {
 func TestScopedInvalidationKeepsUnrelatedEntries(t *testing.T) {
 	w := NewWorldConfig(am.Config{DefaultCacheTTL: time.Hour})
 	t.Cleanup(w.Close)
-	w.AM.EnableInvalidationPush(nil)
 	h := w.AddHost("webpics")
 	h.AddResource("bob", "travel", "photo-1", []byte("x"))
 	h.AddResource("bob", "work", "doc-1", []byte("x"))
@@ -249,6 +248,9 @@ func TestScopedInvalidationKeepsUnrelatedEntries(t *testing.T) {
 	if err := w.AM.LinkGeneral("bob", "work", workPol.ID); err != nil {
 		t.Fatal(err)
 	}
+	if err := w.SubscribeInvalidations(h, "bob"); err != nil {
+		t.Fatal(err)
+	}
 
 	// Separate clients per realm so each keeps presenting its own realm's
 	// token (a shared client's token juggling would add referral
@@ -271,13 +273,14 @@ func TestScopedInvalidationKeepsUnrelatedEntries(t *testing.T) {
 		Effect:   policy.EffectDeny,
 		Subjects: []policy.Subject{{Type: policy.SubjectEveryone}},
 	}}
+	gen := h.Enforcer.Cache().Gen()
 	if err := w.AM.UpdatePolicy("bob", travelPol); err != nil {
 		t.Fatal(err)
 	}
-	w.AM.FlushInvalidations()
-	if n := h.Enforcer.Cache().Len(); n != 1 {
-		t.Fatalf("cache len after scoped push = %d, want 1 (work entry only)", n)
+	if err := h.AwaitInvalidation(gen); err != nil {
+		t.Fatal(err)
 	}
+	waitCacheLen(t, h, 1) // the work entry only
 
 	// No stale PERMIT: the next travel access is denied immediately.
 	if resp, err := alice.Get(h.ResourceURL("photo-1"), core.ActionRead); err == nil {

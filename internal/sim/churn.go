@@ -15,9 +15,9 @@ import (
 // This file is the policy-churn + hot-resource workload behind the scoped
 // cache-invalidation experiments (E14): a Requester hammers a hot set of
 // cached resources while the owner keeps editing an unrelated realm's
-// policy. Every edit triggers an AM→Host invalidation push; with scoped
-// invalidation only the edited realm's entries fall out of the Host cache,
-// with drop-all every hot entry is evicted and the next access round
+// policy. Every edit reaches the Host over its invalidation stream; with
+// scoped invalidation only the edited realm's entries fall out of the Host
+// cache, with drop-all every hot entry is evicted and the next access round
 // stampedes the AM with decision re-queries.
 
 // ChurnConfig sizes the workload.
@@ -29,8 +29,9 @@ type ChurnConfig struct {
 	// ChurnEvery inserts a policy change on the unrelated realm every N
 	// rounds (0 = never).
 	ChurnEvery int
-	// Scoped selects scoped invalidation at the Host cache; false restores
-	// the historical drop-all behaviour (the baseline).
+	// Scoped applies each edit's invalidation as streamed; false drops the
+	// whole Host cache once the streamed eviction has landed (the drop-all
+	// baseline).
 	Scoped bool
 	// Batch resolves each round's misses through the batched decision
 	// endpoint instead of per-pair queries.
@@ -60,9 +61,7 @@ func RunChurnWorkload(cfg ChurnConfig) (ChurnResult, error) {
 	// not expiry.
 	w := NewWorldConfig(am.Config{DefaultCacheTTL: time.Hour})
 	defer w.Close()
-	w.AM.EnableInvalidationPush(nil)
 	h := w.AddHost("webpics")
-	h.Enforcer.Cache().SetScopedInvalidation(cfg.Scoped)
 
 	hot := make([]core.ResourceID, cfg.HotResources)
 	pairs := make([]pep.ResourceAction, cfg.HotResources)
@@ -154,10 +153,12 @@ func RunChurnWorkload(cfg ChurnConfig) (ChurnResult, error) {
 		return nil
 	}
 
-	// Quiesce the setup's own invalidation pushes (the policy links above
-	// each push) before warming: a push racing the warmup fill would drop
-	// the filled entries via the generation guard.
-	w.AM.FlushInvalidations()
+	// Subscribe only now: the setup's own invalidations (the policy links
+	// above) are not replayed, so none can race the warmup fill and drop
+	// it via the generation guard.
+	if err := w.SubscribeInvalidations(h, "bob"); err != nil {
+		return result, err
+	}
 	// Warm the cache, then exclude warmup traffic from the counters.
 	if err := accessRound(); err != nil {
 		return result, err
@@ -171,10 +172,16 @@ func RunChurnWorkload(cfg ChurnConfig) (ChurnResult, error) {
 		if cfg.ChurnEvery > 0 && round%cfg.ChurnEvery == 0 {
 			churn++
 			coldPol.Name = fmt.Sprintf("cold-policy-%d", churn)
+			gen := h.Enforcer.Cache().Gen()
 			if err := w.AM.UpdatePolicy("bob", coldPol); err != nil {
 				return result, err
 			}
-			w.AM.FlushInvalidations()
+			if err := h.AwaitInvalidation(gen); err != nil {
+				return result, err
+			}
+			if !cfg.Scoped {
+				h.Enforcer.Cache().Invalidate()
+			}
 			result.PolicyChanges++
 		}
 		if err := accessRound(); err != nil {

@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"umac/internal/am"
 	"umac/internal/amclient"
@@ -99,6 +100,7 @@ func (w *World) Close() {
 	}
 	w.mu.Unlock()
 	for _, h := range hosts {
+		h.Enforcer.Close() // severs invalidation streams parked on the AM
 		h.Server.Close()
 	}
 	w.AMServer.Close()
@@ -140,7 +142,6 @@ func (w *World) AddHost(id core.HostID) *SimpleHost {
 	h.Enforcer = pep.New(pep.Config{Host: id, Name: string(id), Tracer: w.Tracer})
 	mux := http.NewServeMux()
 	mux.HandleFunc("/umac/pair/callback", h.Enforcer.HandlePairCallback)
-	mux.HandleFunc("POST /umac/invalidate", h.Enforcer.HandleInvalidate)
 	mux.HandleFunc("GET /res/{id...}", h.handleGet)
 	mux.HandleFunc("PUT /res/{id...}", h.handlePut)
 	h.Server = httptest.NewServer(mux)
@@ -149,6 +150,41 @@ func (w *World) AddHost(id core.HostID) *SimpleHost {
 	w.hosts[id] = h
 	w.mu.Unlock()
 	return h
+}
+
+// SubscribeInvalidations starts h's invalidation stream for owner (who
+// must already be paired with h) and waits until the AM has registered the
+// subscriber. Events published before that point are not replayed to the
+// stream, so call it before the first mutation whose eviction matters.
+func (w *World) SubscribeInvalidations(h *SimpleHost, owner core.UserID) error {
+	subscribers := func() int { return w.AM.Events().Health().Subscribers[core.EventInvalidation] }
+	before := subscribers()
+	if err := h.Enforcer.StartInvalidationStream(owner); err != nil {
+		return err
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for subscribers() <= before {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("sim: %s's invalidation stream for %s never subscribed", h.ID, owner)
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return nil
+}
+
+// AwaitInvalidation waits until h's decision cache has applied an
+// invalidation after generation gen (captured with Cache().Gen() before
+// the mutation). The generation moves before the eviction walk, so callers
+// asserting on evicted entries still poll Cache().Len().
+func (h *SimpleHost) AwaitInvalidation(gen uint64) error {
+	deadline := time.Now().Add(5 * time.Second)
+	for h.Enforcer.Cache().Gen() == gen {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("sim: %s applied no invalidation after generation %d", h.ID, gen)
+		}
+		time.Sleep(50 * time.Microsecond) // fine-grained: benchmarks wait here
+	}
+	return nil
 }
 
 // AddResource stores a resource owned by owner in the given realm.

@@ -210,28 +210,6 @@ func TestSnapshotElsewhereDoesNotCompact(t *testing.T) {
 	}
 }
 
-// TestOpenWithoutWAL preserves the pre-WAL contract for callers that want
-// explicit-snapshot-only persistence.
-func TestOpenWithoutWAL(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "state.json")
-	s, err := Open(path, WithoutWAL())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Durable() {
-		t.Fatal("WithoutWAL store reports durable")
-	}
-	if _, err := s.Put("doc", "a", doc{Count: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".wal"); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("WAL file created despite WithoutWAL: %v", err)
-	}
-	if segs, err := listSegments(path + ".wal"); err != nil || len(segs) != 0 {
-		t.Fatalf("WAL segments created despite WithoutWAL: %v %v", segs, err)
-	}
-}
-
 // TestClosedStoreRejectsWrites: writes after Close fail loudly instead of
 // silently losing durability; reads keep working.
 func TestClosedStoreRejectsWrites(t *testing.T) {

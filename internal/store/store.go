@@ -509,18 +509,13 @@ func (s *Store) Close() error {
 
 // options configures Open.
 type options struct {
-	disableWAL bool
-	walPath    string
-	fsync      bool
-	segLimit   int64
+	walPath  string
+	fsync    bool
+	segLimit int64
 }
 
 // Option customizes Open.
 type Option func(*options)
-
-// WithoutWAL opens the store without a write-ahead log: writes live in
-// memory only between explicit Snapshot calls (the pre-WAL behaviour).
-func WithoutWAL() Option { return func(o *options) { o.disableWAL = true } }
 
 // WithWALPath roots the write-ahead log's segment files at an explicit
 // path instead of the default "<snapshot path>.wal". Segments are named
@@ -552,9 +547,6 @@ func Open(path string, opts ...Option) (*Store, error) {
 	s.snapshotPath = path
 	if err := s.Load(path); err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, err
-	}
-	if o.disableWAL {
-		return s, nil
 	}
 	walPath := o.walPath
 	if walPath == "" {

@@ -233,8 +233,8 @@ func FormatPolicies(policies []Policy) string {
 // Store is the sharded, WAL-backed datastore used for AM and Host state.
 type Store = store.Store
 
-// StoreOption customizes OpenStore (see StoreWithoutWAL, StoreWithFsync,
-// StoreWithWALPath).
+// StoreOption customizes OpenStore (see StoreWithFsync, StoreWithWALPath,
+// StoreWithWALSegmentSize).
 type StoreOption = store.Option
 
 // NewStore returns an empty memory-only datastore for AM state.
@@ -245,10 +245,6 @@ func NewStore() *Store { return store.New() }
 // subsequent write is logged before it is acknowledged. Snapshot(path)
 // compacts the log; Close releases it.
 func OpenStore(path string, opts ...StoreOption) (*Store, error) { return store.Open(path, opts...) }
-
-// StoreWithoutWAL disables the write-ahead log: state persists only on
-// explicit Snapshot calls (the pre-WAL behaviour).
-func StoreWithoutWAL() StoreOption { return store.WithoutWAL() }
 
 // StoreWithFsync fsyncs the write-ahead log on every commit, extending the
 // durability guarantee from "survives process kills" to "survives machine
