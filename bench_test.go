@@ -885,9 +885,9 @@ func BenchmarkDecisionScopedInvalidation(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		// Subscribe after setup: the link's invalidation is not replayed,
-		// so the generation guard cannot drop the warmup fill.
-		if err := w.SubscribeInvalidations(h, "bob"); err != nil {
+		// Settle after setup: once the link's invalidation has landed, the
+		// generation guard cannot drop the warmup fill.
+		if err := w.SettleInvalidations(h.Enforcer, "bob"); err != nil {
 			b.Fatal(err)
 		}
 		warm()
@@ -928,7 +928,7 @@ func BenchmarkDecisionCacheLRU(b *testing.B) {
 		for pb.Next() {
 			key := keys[i%len(keys)]
 			if i%4 == 0 {
-				c.Put(key, true, 3600)
+				c.PutScopedAt(c.Gen(), key, pep.EntryScope{}, true, 3600)
 			} else {
 				c.Get(key)
 			}
@@ -944,7 +944,7 @@ func BenchmarkDecisionCache(b *testing.B) {
 	keys := make([]string, 1024)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("key-%d", i)
-		c.Put(keys[i], true, 3600)
+		c.PutScopedAt(c.Gen(), keys[i], pep.EntryScope{}, true, 3600)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -32,8 +33,8 @@ import (
 //
 // with `: hb` comment lines as heartbeats. A resync frame (event type
 // "resync") means events were lost before the next frame — the subscriber
-// must rebuild state out of band (drop caches, re-poll tickets) before
-// trusting the stream again.
+// must rebuild state out of band (drop caches, re-check ticket status)
+// before trusting the stream again.
 
 // DefaultEventHeartbeat is the SSE heartbeat interval used when
 // EventsConfig.Heartbeat is zero: frequent enough that idle connections
@@ -257,7 +258,9 @@ func (a *AM) serveSSE(w http.ResponseWriter, r *http.Request, f events.Filter) {
 			fl.Flush()
 		case ctx.Err() != nil:
 			return // client disconnected
-		case waitCtx.Err() != nil:
+		case errors.Is(err, context.DeadlineExceeded):
+			// Idle for a heartbeat interval. (waitCtx.Err() cannot tell:
+			// cancel has already run, so it is never nil here.)
 			if _, err := io.WriteString(w, ": hb\n\n"); err != nil {
 				return
 			}

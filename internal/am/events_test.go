@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -406,6 +407,32 @@ func TestEventsHeartbeat(t *testing.T) {
 	c := openSSE(t, f.am.BaseURL()+"/v1/events", hdr)
 	if _, _, _, comment := c.readFrame(t); !comment {
 		t.Fatal("expected a heartbeat comment on an idle stream")
+	}
+}
+
+// TestEventsStreamEndsWhenBrokerCloses: closing the broker (AM shutdown)
+// ends every open stream at once, instead of leaving its handler writing
+// heartbeats in a loop that keeps the connection, and the server, busy.
+func TestEventsStreamEndsWhenBrokerCloses(t *testing.T) {
+	f := newEventsFixture(t, Config{
+		Replication: ReplicationConfig{Role: RolePrimary, Secret: eventsTestSecret},
+	})
+	hdr := http.Header{}
+	hdr.Set("Authorization", "Bearer "+eventsTestSecret)
+	c := openSSE(t, f.am.BaseURL()+"/v1/events", hdr)
+	f.am.Events().Close()
+	done := make(chan error, 1)
+	go func() {
+		_, err := io.Copy(io.Discard, c.br)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("stream ended with %v, want a clean end", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream still open 5s after the broker closed")
 	}
 }
 

@@ -23,21 +23,23 @@ import (
 // and on any connection loss reconnects with Last-Event-ID and jittered
 // exponential backoff. Gaps (slow consumer, rolled replay window) arrive
 // in-band as core.EventResync events — the caller decides what re-sync
-// means for it. After MaxAttempts consecutive failed connections Next
-// returns ErrStreamFailed, the signal to fall back to polling.
+// means for it. After DefaultStreamMaxAttempts consecutive failed
+// connections Next returns ErrStreamFailed.
 
 // ErrStreamFailed reports that the event stream could not be (re-)
-// established after StreamConfig.MaxAttempts consecutive attempts. The
-// caller should fall back to its polling path; the stream may be retried
-// later by calling Next again (the attempt counter restarts).
+// established: the server rejected the subscription, or
+// DefaultStreamMaxAttempts consecutive attempts failed. The stream may be
+// retried later by calling Next again (the attempt counter restarts).
 var ErrStreamFailed = errors.New("amclient: event stream failed")
 
-// Stream tuning defaults.
+// Stream tuning. Every subscriber uses these values; heartbeats from the
+// AM must arrive well inside DefaultStreamStallTimeout.
 const (
 	// DefaultStreamMaxAttempts is how many consecutive connection failures
 	// Next tolerates before returning ErrStreamFailed.
 	DefaultStreamMaxAttempts = 5
-	// DefaultStreamBackoff is the initial reconnect backoff.
+	// DefaultStreamBackoff is the initial reconnect backoff (doubled per
+	// failure, ±50% jitter).
 	DefaultStreamBackoff = 100 * time.Millisecond
 	// DefaultStreamMaxBackoff caps the reconnect backoff.
 	DefaultStreamMaxBackoff = 5 * time.Second
@@ -55,21 +57,6 @@ type StreamConfig struct {
 	Path string
 	// Query carries subscription parameters (ticket, types, owner).
 	Query url.Values
-	// After is the initial resume cursor: the stream reconnects with
-	// Last-Event-ID = cursor, starting at After. 0 or negative means
-	// live-only (no initial replay).
-	After int64
-	// MaxAttempts bounds consecutive failed connections before Next
-	// returns ErrStreamFailed; 0 means DefaultStreamMaxAttempts.
-	MaxAttempts int
-	// Backoff is the initial reconnect delay (doubled per failure, ±50%
-	// jitter); 0 means DefaultStreamBackoff.
-	Backoff time.Duration
-	// MaxBackoff caps the reconnect delay; 0 means DefaultStreamMaxBackoff.
-	MaxBackoff time.Duration
-	// StallTimeout kills a connection that delivers nothing (not even
-	// heartbeats) for this long; 0 means DefaultStreamStallTimeout.
-	StallTimeout time.Duration
 }
 
 // EventStream is a reconnecting subscription to one /v1/events route.
@@ -78,6 +65,10 @@ type StreamConfig struct {
 type EventStream struct {
 	c   *Client
 	cfg StreamConfig
+
+	// backoff is the initial reconnect delay, DefaultStreamBackoff
+	// outside tests.
+	backoff time.Duration
 
 	mu   sync.Mutex
 	resp *http.Response // live connection, nil between dials
@@ -96,28 +87,12 @@ func (c *Client) Stream(cfg StreamConfig) *EventStream {
 	if cfg.Path == "" {
 		cfg.Path = "/events"
 	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = DefaultStreamMaxAttempts
-	}
-	if cfg.Backoff <= 0 {
-		cfg.Backoff = DefaultStreamBackoff
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = DefaultStreamMaxBackoff
-	}
-	if cfg.StallTimeout <= 0 {
-		cfg.StallTimeout = DefaultStreamStallTimeout
-	}
-	s := &EventStream{c: c, cfg: cfg, cursor: -1}
-	if cfg.After > 0 {
-		s.cursor = cfg.After
-	}
-	return s
+	return &EventStream{c: c, cfg: cfg, backoff: DefaultStreamBackoff, cursor: -1}
 }
 
 // Cursor returns the sequence number of the last event Next delivered
-// (the Last-Event-ID a reconnect will present), or the configured After
-// before any delivery, or -1 for a fresh live-only stream.
+// (the Last-Event-ID a reconnect will present), or -1 before any
+// delivery.
 func (s *EventStream) Cursor() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -151,32 +126,20 @@ func (s *EventStream) abort() {
 
 // Next returns the next event, transparently (re)connecting as needed.
 // A returned core.EventResync means events were lost before the next
-// frame: the caller must run its re-sync path (drop caches, re-poll)
-// before trusting subsequent events. When the stream cannot be
-// established after MaxAttempts consecutive tries — or the server rejects
-// the subscription outright (4xx) — Next returns an error wrapping
-// ErrStreamFailed and the underlying cause; the caller falls back to
-// polling. ctx bounds this call AND the connection: cancellation severs
-// the stream (the next call redials with the cursor).
+// frame: the caller must run its re-sync path (drop caches, re-check
+// status) before trusting subsequent events. When the stream cannot be
+// established after DefaultStreamMaxAttempts consecutive tries — or the
+// server rejects the subscription outright (4xx) — Next returns an error
+// wrapping ErrStreamFailed and the underlying cause. ctx bounds this call
+// AND the connection: cancellation severs the stream (the next call
+// redials with the cursor).
 func (s *EventStream) Next(ctx context.Context) (core.Event, error) {
 	// Unblock a parked body read when ctx ends.
 	stop := context.AfterFunc(ctx, s.abort)
 	defer stop()
 	for {
-		if err := ctx.Err(); err != nil {
+		if err := s.dial(ctx); err != nil {
 			return core.Event{}, err
-		}
-		s.mu.Lock()
-		closed, connected := s.closed, s.resp != nil
-		s.mu.Unlock()
-		if closed {
-			return core.Event{}, fmt.Errorf("%w: stream closed", ErrStreamFailed)
-		}
-		if !connected {
-			if err := s.connect(ctx); err != nil {
-				return core.Event{}, err
-			}
-			continue
 		}
 		e, err := s.readEvent()
 		if err != nil {
@@ -204,6 +167,55 @@ func (s *EventStream) Next(ctx context.Context) (core.Event, error) {
 	}
 }
 
+// AwaitConsent reads a /v1/events/consent subscription for ticket until
+// the ticket's resolution arrives, and returns that resolved status. A
+// resync marker means the resolution may be among the lost events: the
+// ticket's status is checked once (GET /v1/token/status), and the wait
+// goes on over the stream while it is still pending. Errors are Next's.
+func (s *EventStream) AwaitConsent(ctx context.Context, ticket string) (core.ConsentStatus, error) {
+	for {
+		ev, err := s.Next(ctx)
+		if err != nil {
+			return core.ConsentStatus{}, err
+		}
+		switch ev.Type {
+		case core.EventConsent:
+			if ev.Consent != nil && ev.Consent.Resolved {
+				return *ev.Consent, nil
+			}
+		case core.EventResync:
+			if st, err := s.c.TokenStatus(ticket); err == nil && st.Resolved {
+				return st, nil
+			}
+		}
+	}
+}
+
+// dial returns once a connection is live, calling connect until one is or
+// until connect gives up (an exhausted attempt budget or a rejected
+// subscription), the stream is closed, or ctx ends.
+func (s *EventStream) dial(ctx context.Context) error {
+	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s.mu.Lock()
+		closed, connected := s.closed, s.resp != nil
+		s.mu.Unlock()
+		if closed {
+			return fmt.Errorf("%w: stream closed", ErrStreamFailed)
+		}
+		if connected {
+			return nil
+		}
+		// connect returns nil on a retryable failure (it only counts the
+		// attempt), so loop until a connection is live or it gives up.
+		if err := s.connect(ctx); err != nil {
+			return err
+		}
+	}
+}
+
 // connect dials one attempt, rotating endpoints and sleeping the jittered
 // backoff between failures. Returns nil when a connection is live (the
 // attempt counter resets only after a frame is actually read, so a server
@@ -213,7 +225,7 @@ func (s *EventStream) connect(ctx context.Context) error {
 	attempts := s.attempts
 	cursor := s.cursor
 	s.mu.Unlock()
-	if attempts >= s.cfg.MaxAttempts {
+	if attempts >= DefaultStreamMaxAttempts {
 		// Reset so a later Next may try the stream again (transient
 		// outages should not disable streaming forever).
 		s.mu.Lock()
@@ -222,7 +234,7 @@ func (s *EventStream) connect(ctx context.Context) error {
 		return fmt.Errorf("%w: %d consecutive connection attempts failed", ErrStreamFailed, attempts)
 	}
 	if attempts > 0 {
-		if err := sleepCtx(ctx, jitteredBackoff(s.cfg.Backoff, s.cfg.MaxBackoff, attempts)); err != nil {
+		if err := sleepCtx(ctx, jitteredBackoff(s.backoff, DefaultStreamMaxBackoff, attempts)); err != nil {
 			return err
 		}
 	}
@@ -231,7 +243,7 @@ func (s *EventStream) connect(ctx context.Context) error {
 	base := s.c.endpoints[(int(s.c.cur.Load())+attempts)%len(s.c.endpoints)]
 	req, err := s.c.newRequest(base, http.MethodGet, s.cfg.Path, s.cfg.Query, nil, "")
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrStreamFailed, err)
+		return fmt.Errorf("%w: %w", ErrStreamFailed, err)
 	}
 	if cursor >= 0 {
 		req.Header.Set("Last-Event-ID", fmt.Sprint(cursor))
@@ -256,8 +268,8 @@ func (s *EventStream) connect(ctx context.Context) error {
 		if !retryable {
 			// The subscription itself is rejected (bad ticket, bad auth, or
 			// an AM without the events surface at all): retrying cannot
-			// help, fall back now.
-			return fmt.Errorf("%w: %v", ErrStreamFailed, err)
+			// help, give up now.
+			return fmt.Errorf("%w: %w", ErrStreamFailed, err)
 		}
 		s.mu.Lock()
 		s.attempts++
@@ -284,31 +296,14 @@ func (s *EventStream) connect(ctx context.Context) error {
 // first Next call. When it returns nil the server has registered the
 // subscriber (the AM subscribes to its broker before writing the response
 // headers), so events published afterwards will be delivered — the
-// ordering guarantee loadgen's consent storm and any
-// subscribe-then-trigger caller needs. On a rejected subscription or an
-// exhausted attempt budget it returns an error wrapping ErrStreamFailed.
+// ordering guarantee the requester's consent wait, loadgen's consent
+// storm and any subscribe-then-trigger caller need. On a rejected
+// subscription or an exhausted attempt budget it returns an error
+// wrapping ErrStreamFailed.
 func (s *EventStream) Connect(ctx context.Context) error {
 	stop := context.AfterFunc(ctx, s.abort)
 	defer stop()
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		s.mu.Lock()
-		closed, connected := s.closed, s.resp != nil
-		s.mu.Unlock()
-		if closed {
-			return fmt.Errorf("%w: stream closed", ErrStreamFailed)
-		}
-		if connected {
-			return nil
-		}
-		// connect returns nil on a retryable failure (it only counts the
-		// attempt), so loop until a connection is live or it gives up.
-		if err := s.connect(ctx); err != nil {
-			return err
-		}
-	}
+	return s.dial(ctx)
 }
 
 // disconnect drops the live connection (if any), keeping the cursor.
@@ -334,9 +329,9 @@ func (s *EventStream) readEvent() (core.Event, error) {
 		return core.Event{}, errors.New("amclient: stream not connected")
 	}
 	// The stall watchdog severs a silent connection: heartbeats arrive
-	// every server-side interval, so silence beyond StallTimeout means a
-	// half-open TCP connection (or a proxy buffering the stream).
-	watchdog := time.AfterFunc(s.cfg.StallTimeout, s.abort)
+	// every server-side interval, so silence beyond the stall timeout
+	// means a half-open TCP connection (or a proxy buffering the stream).
+	watchdog := time.AfterFunc(DefaultStreamStallTimeout, s.abort)
 	defer watchdog.Stop()
 	var data []byte
 	for {
@@ -344,7 +339,7 @@ func (s *EventStream) readEvent() (core.Event, error) {
 		if err != nil {
 			return core.Event{}, err
 		}
-		watchdog.Reset(s.cfg.StallTimeout)
+		watchdog.Reset(DefaultStreamStallTimeout)
 		s.mu.Lock()
 		s.attempts = 0 // bytes flowed: the connection is real
 		s.mu.Unlock()

@@ -18,8 +18,8 @@ import (
 // SSE server: a connection severed mid-stream is redialed with the
 // cursor as Last-Event-ID and the subscriber observes every event
 // exactly once; Connect returns only once the subscription is
-// registered server-side; a permanent rejection fails fast to the
-// polling fallback instead of burning the retry budget.
+// registered server-side; a permanent rejection fails fast instead of
+// burning the retry budget.
 
 // scriptedSSE serves GET /v1/events, recording each connection's
 // Last-Event-ID and delegating the frames to a per-connection script.
@@ -100,7 +100,8 @@ func TestEventStreamReconnectNoLossNoDup(t *testing.T) {
 		}
 	}
 	c := New(Config{BaseURL: s.srv.URL})
-	stream := c.Stream(StreamConfig{Backoff: time.Millisecond})
+	stream := c.Stream(StreamConfig{})
+	stream.backoff = time.Millisecond
 	defer stream.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -153,7 +154,8 @@ func TestEventStreamResyncAdoptsCursor(t *testing.T) {
 		}
 	}
 	c := New(Config{BaseURL: s.srv.URL})
-	stream := c.Stream(StreamConfig{Backoff: time.Millisecond})
+	stream := c.Stream(StreamConfig{})
+	stream.backoff = time.Millisecond
 	defer stream.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
@@ -221,22 +223,28 @@ func TestEventStreamConnectRegistersSubscription(t *testing.T) {
 
 // TestEventStreamPermanentRejectionFailsFast: a non-retryable status
 // (here a plain 404, the shape of an AM without the events surface) must
-// surface ErrStreamFailed on the first attempt — the caller's signal to
-// fall back to polling — not burn the whole backoff budget.
+// surface ErrStreamFailed on the first attempt, with the AM's error as
+// its cause, not burn the whole backoff budget.
 func TestEventStreamPermanentRejectionFailsFast(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such route", http.StatusNotFound)
 	}))
 	defer srv.Close()
 	c := New(Config{BaseURL: srv.URL})
-	stream := c.Stream(StreamConfig{Backoff: time.Second})
+	stream := c.Stream(StreamConfig{})
+	stream.backoff = time.Second
 	defer stream.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	start := time.Now()
-	if _, err := stream.Next(ctx); !errors.Is(err, ErrStreamFailed) {
+	_, err := stream.Next(ctx)
+	if !errors.Is(err, ErrStreamFailed) {
 		t.Fatalf("err = %v, want ErrStreamFailed", err)
+	}
+	var ae *core.APIError
+	if !errors.As(err, &ae) || ae.Status != http.StatusNotFound {
+		t.Fatalf("err = %v, want the AM's 404 as its cause", err)
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("rejection took %v; a permanent 4xx must not back off", elapsed)

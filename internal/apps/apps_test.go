@@ -13,7 +13,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
+	"umac/internal/am"
 	"umac/internal/apps/gallery"
 	"umac/internal/apps/storage"
 	"umac/internal/core"
@@ -34,7 +36,13 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
-	w := sim.NewWorld()
+	return newFixtureConfig(t, am.Config{})
+}
+
+// newFixtureConfig is newFixture with a tuned AM.
+func newFixtureConfig(t *testing.T, cfg am.Config) *fixture {
+	t.Helper()
+	w := sim.NewWorldConfig(cfg)
 	t.Cleanup(w.Close)
 
 	st := storage.New(storage.Config{HostID: "storage", Tracer: w.Tracer})
@@ -47,6 +55,12 @@ func newFixture(t *testing.T) *fixture {
 	t.Cleanup(gSrv.Close)
 	g.Enforcer.SetBaseURL(gSrv.URL)
 
+	// Runs before w.Close: pairing subscribes each app to the AM's
+	// invalidation stream.
+	t.Cleanup(func() {
+		st.Enforcer.Close()
+		g.Enforcer.Close()
+	})
 	return &fixture{world: w, storage: st, storageSrv: stSrv, gallery: g, gallerySrv: gSrv}
 }
 
@@ -171,6 +185,50 @@ func TestStorageDelegatedMode(t *testing.T) {
 	mallory := requester.New(requester.Config{ID: "m", Subject: "mallory"})
 	if _, err := mallory.Fetch(storage.FileURL(f.storageSrv.URL, "bob", "/travel/notes.txt"), core.ActionRead); err == nil {
 		t.Fatal("mallory read the protected file")
+	}
+}
+
+// TestInvalidationStreamReachesPrototypeHost: pairing through the app's
+// callback subscribes the storage Host to the owner's invalidation
+// stream, so a policy edit revoking a friend's access evicts the Host's
+// cached permit at once instead of at TTL expiry (an hour here).
+func TestInvalidationStreamReachesPrototypeHost(t *testing.T) {
+	f := newFixtureConfig(t, am.Config{DefaultCacheTTL: time.Hour})
+	f.storage.Tree("bob").Put("/travel/notes.txt", []byte("trip notes"))
+	delegateStorage(t, f)
+	// Let the setup's own evictions land before the permit is cached.
+	if err := f.world.SettleInvalidations(f.storage.Enforcer, "bob"); err != nil {
+		t.Fatal(err)
+	}
+	url := storage.FileURL(f.storageSrv.URL, "bob", "/travel/notes.txt")
+	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice"})
+	if _, err := alice.Fetch(url, core.ActionRead); err != nil {
+		t.Fatal(err)
+	}
+	cache := f.storage.Enforcer.Cache()
+	if cache.Len() == 0 {
+		t.Fatal("permit not cached")
+	}
+
+	// Bob narrows the travel policy to himself: alice is out.
+	pol := f.world.AM.ListPolicies("bob")[0]
+	pol.Rules = []policy.Rule{{
+		Effect:   policy.EffectPermit,
+		Subjects: []policy.Subject{{Type: policy.SubjectOwner}},
+		Actions:  []core.Action{core.ActionRead, core.ActionList},
+	}}
+	if err := f.world.AM.UpdatePolicy("bob", pol); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for cache.Len() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the revocation never reached the storage Host's cache")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := alice.Fetch(url, core.ActionRead); err == nil {
+		t.Fatal("alice still reads after the revocation")
 	}
 }
 

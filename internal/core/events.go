@@ -25,7 +25,7 @@ const (
 	// EventResync is the in-band gap marker: events were lost between the
 	// subscriber's cursor and the stream's present (slow consumer, or a
 	// resume cursor older than the replay window). The subscriber must
-	// re-establish state out of band (drop caches, re-poll tickets) —
+	// re-establish state out of band (drop caches, re-check tickets) —
 	// everything after the resync event is gapless again.
 	EventResync EventType = "resync"
 )

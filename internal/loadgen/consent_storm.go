@@ -27,8 +27,9 @@ import (
 // zero-loss contract applied to notifications.
 
 // pollInterval is the baseline's TokenStatus cadence — the latency class
-// the stream has to beat. DefaultConsentPollInterval in the requester is
-// 1s; 150ms is a deliberately generous baseline.
+// the stream has to beat, as a hand-written polling client of
+// GET /v1/token/status would see it. 150ms is a deliberately generous
+// baseline.
 const pollInterval = 150 * time.Millisecond
 
 // notifyTimeout bounds one resolution→notification wait. On loopback a
@@ -206,7 +207,17 @@ func ConsentStorm(ctx context.Context, rig *Rig, opts Options) (*Recorder, error
 			return rec, phaseErr("stream_notify", err)
 		}
 		notified := make(chan error, 1)
-		go func() { notified <- awaitStreamConsent(ctx, s, sessions[owner], ticket) }()
+		go func() {
+			// The same loop the requester SDK waits in.
+			st, err := s.AwaitConsent(ctx, ticket)
+			switch {
+			case err != nil:
+				err = fmt.Errorf("stream wait for %s: %w", ticket, err)
+			case !st.Approved || st.Token == "":
+				err = fmt.Errorf("ticket %s resolved without an approval token; storm approves everything", ticket)
+			}
+			notified <- err
+		}()
 		err = resolveAndWait(stream, owner, ticket, notified)
 		s.Close()
 		if err != nil {
@@ -254,35 +265,6 @@ func ConsentStorm(ctx context.Context, rig *Rig, opts Options) (*Recorder, error
 		_, err := rigs[w.owner].Manager.GetPolicy(w.owner, w.id)
 		return err
 	})
-}
-
-// awaitStreamConsent consumes the consent stream until the ticket's
-// resolution arrives. A resync marker (events lost under the subscriber's
-// buffer) falls back to one status check, mirroring the requester SDK.
-func awaitStreamConsent(ctx context.Context, s *amclient.EventStream, session *amclient.Client, ticket string) error {
-	for {
-		ev, err := s.Next(ctx)
-		if err != nil {
-			return fmt.Errorf("stream wait for %s: %w", ticket, err)
-		}
-		switch ev.Type {
-		case core.EventConsent:
-			if st := ev.Consent; st != nil && st.Resolved {
-				if !st.Approved {
-					return fmt.Errorf("ticket %s denied; storm approves everything", ticket)
-				}
-				if st.Token == "" {
-					return fmt.Errorf("ticket %s resolved without a token on the stream", ticket)
-				}
-				return nil
-			}
-		case core.EventResync:
-			st, err := session.TokenStatus(ticket)
-			if err == nil && st.Resolved {
-				return nil
-			}
-		}
-	}
 }
 
 // awaitPolledConsent is the baseline waiter: TokenStatus at pollInterval

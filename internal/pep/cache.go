@@ -184,35 +184,20 @@ func (c *DecisionCache) Get(key string) (permit, ok bool) {
 	return permit, true
 }
 
-// Put stores an unscoped decision for ttlSeconds. Unscoped entries are
-// only removed by key expiry, capacity eviction or a full Invalidate;
-// enforcement paths use PutScoped so invalidation pushes can reach them.
-func (c *DecisionCache) Put(key string, permit bool, ttlSeconds int) {
-	c.PutScoped(key, EntryScope{}, permit, ttlSeconds)
-}
-
 // Gen returns the invalidation generation. Capture it before issuing a
 // decision query and pass it to PutScopedAt so a response that raced an
 // invalidation push is not written back as a fresh entry.
 func (c *DecisionCache) Gen() uint64 { return c.gen.Load() }
 
-// PutScoped stores a decision for ttlSeconds, tagged with the (owner,
-// realm, resource) it was issued for.
-func (c *DecisionCache) PutScoped(key string, scope EntryScope, permit bool, ttlSeconds int) {
-	c.putScoped(key, scope, permit, ttlSeconds, 0, false)
-}
-
-// PutScopedAt is PutScoped guarded by the invalidation generation: if any
-// invalidation has run since gen was observed, the decision may predate a
-// policy change and the write is silently dropped — the next access simply
-// re-queries. Checked under the shard lock, so a concurrent invalidation
-// either sees the entry (and evicts it) or has already bumped the
-// generation (and the write is dropped); a stale permit can never survive.
+// PutScopedAt stores a decision for ttlSeconds, tagged with the (owner,
+// realm, resource) it was issued for so invalidations can reach it. It is
+// guarded by the invalidation generation: if any invalidation has run
+// since gen was observed, the decision may predate a policy change and the
+// write is silently dropped — the next access simply re-queries. Checked
+// under the shard lock, so a concurrent invalidation either sees the entry
+// (and evicts it) or has already bumped the generation (and the write is
+// dropped); a stale permit can never survive.
 func (c *DecisionCache) PutScopedAt(gen uint64, key string, scope EntryScope, permit bool, ttlSeconds int) {
-	c.putScoped(key, scope, permit, ttlSeconds, gen, true)
-}
-
-func (c *DecisionCache) putScoped(key string, scope EntryScope, permit bool, ttlSeconds int, gen uint64, checkGen bool) {
 	if ttlSeconds <= 0 {
 		return
 	}
@@ -220,7 +205,7 @@ func (c *DecisionCache) putScoped(key string, scope EntryScope, permit bool, ttl
 	expires := now.Add(time.Duration(ttlSeconds) * time.Second)
 	s := c.shardFor(key)
 	s.mu.Lock()
-	if checkGen && c.gen.Load() != gen {
+	if c.gen.Load() != gen {
 		s.mu.Unlock()
 		return
 	}

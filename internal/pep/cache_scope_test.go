@@ -21,7 +21,7 @@ func TestDecisionCacheCapacityEviction(t *testing.T) {
 	c := NewDecisionCacheCap(capacity)
 	for i := 0; i < capacity*4; i++ {
 		key, sc := scopedKey(i)
-		c.PutScoped(key, sc, true, 600)
+		c.PutScopedAt(c.Gen(), key, sc, true, 600)
 	}
 	if n := c.Len(); n > capacity {
 		t.Fatalf("len = %d after overfill, want <= %d", n, capacity)
@@ -41,7 +41,7 @@ func TestDecisionCacheCapacityEviction(t *testing.T) {
 func TestDecisionCacheLRUOrder(t *testing.T) {
 	c := NewDecisionCacheCap(cacheShards) // one entry per shard
 	keyA, scA := scopedKey(1)
-	c.PutScoped(keyA, scA, true, 600)
+	c.PutScopedAt(c.Gen(), keyA, scA, true, 600)
 	if _, ok := c.Get(keyA); !ok {
 		t.Fatal("A missing immediately after put")
 	}
@@ -52,7 +52,7 @@ func TestDecisionCacheLRUOrder(t *testing.T) {
 		if c.shardFor(keyB) != shardA {
 			continue
 		}
-		c.PutScoped(keyB, scB, true, 600)
+		c.PutScopedAt(c.Gen(), keyB, scB, true, 600)
 		if _, ok := c.Get(keyA); ok {
 			t.Fatal("LRU entry survived over-capacity insert into its shard")
 		}
@@ -72,9 +72,9 @@ func TestDecisionCacheExpiredDeletedOnRead(t *testing.T) {
 	now := base
 	c.SetClock(func() time.Time { return now })
 	key, sc := scopedKey(1)
-	c.PutScoped(key, sc, true, 10)
+	c.PutScopedAt(c.Gen(), key, sc, true, 10)
 	keep, sc2 := scopedKey(2)
-	c.PutScoped(keep, sc2, true, 3600)
+	c.PutScopedAt(c.Gen(), keep, sc2, true, 3600)
 
 	now = base.Add(11 * time.Second)
 	if n := c.Len(); n != 1 {
@@ -105,7 +105,7 @@ func TestDecisionCacheSweep(t *testing.T) {
 		if i%2 == 0 {
 			ttl = 3600
 		}
-		c.PutScoped(key, sc, true, ttl)
+		c.PutScopedAt(c.Gen(), key, sc, true, ttl)
 	}
 	now = base.Add(time.Minute)
 	if removed := c.Sweep(); removed != 50 {
@@ -122,7 +122,7 @@ func TestDecisionCacheScopedInvalidation(t *testing.T) {
 	c := NewDecisionCache()
 	put := func(owner core.UserID, realm core.RealmID, res core.ResourceID) string {
 		key := cacheKey("tok", res, core.ActionRead)
-		c.PutScoped(key, EntryScope{Owner: owner, Realm: realm, Resource: res}, true, 600)
+		c.PutScopedAt(c.Gen(), key, EntryScope{Owner: owner, Realm: realm, Resource: res}, true, 600)
 		return key
 	}
 	bobTravel := put("bob", "travel", "photo-1")

@@ -7,19 +7,22 @@ import (
 	"time"
 
 	"umac/internal/am"
+	"umac/internal/amclient"
 	"umac/internal/core"
 	"umac/internal/policy"
 )
 
 // These tests prove the PEP's consumer side of the event control plane:
 // StartInvalidationStream subscribes over the signed channel and applies
-// scoped evictions pushed by the AM, and Close never waits out a parked
-// stream read.
+// scoped evictions pushed by the AM, a rejected subscription drops the
+// cache once per outage rather than once per retry, Unpair ends the
+// owner's subscription, and Close never waits out a parked stream read.
 
 // streamFixture pairs an Enforcer with a live AM over HTTP.
 type streamFixture struct {
-	am  *am.AM
-	enf *Enforcer
+	am      *am.AM
+	enf     *Enforcer
+	pairing Pairing
 }
 
 func newStreamFixture(t *testing.T, owner core.UserID) *streamFixture {
@@ -29,16 +32,18 @@ func newStreamFixture(t *testing.T, owner core.UserID) *streamFixture {
 	t.Cleanup(srv.Close)
 	a.SetBaseURL(srv.URL)
 
-	e := New(Config{Host: "h1", StreamRetry: 20 * time.Millisecond})
+	e := New(Config{Host: "h1"})
+	e.streamRetry = 20 * time.Millisecond
 	t.Cleanup(func() { e.Close() })
 	code, err := a.ApprovePairing(core.PairingRequest{Host: "h1", User: owner})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CompletePairing(srv.URL, owner, code); err != nil {
+	p, err := e.CompletePairing(srv.URL, owner, code)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return &streamFixture{am: a, enf: e}
+	return &streamFixture{am: a, enf: e, pairing: p}
 }
 
 // waitSubscribed blocks until the AM sees at least one event subscriber.
@@ -129,6 +134,57 @@ func TestInvalidationStreamUnscopedDropsAll(t *testing.T) {
 		EntryScope{Owner: "bob"}, true, 600)
 	f.am.Events().Publish(core.Event{Type: core.EventInvalidation})
 	waitEmpty(t, cache)
+}
+
+// TestInvalidationStreamOutageDropsCacheOnce: a subscription the AM keeps
+// rejecting — here for a pairing the AM has revoked — drops the cache
+// once when the outage starts, not again on every retry: decisions cached
+// afterwards, here an unrelated owner's, keep serving until their TTL.
+// (An AM that is merely unreachable drops nothing; TestAMDownYieldsBadGateway
+// in internal/sim covers that.)
+func TestInvalidationStreamOutageDropsCacheOnce(t *testing.T) {
+	f := newStreamFixture(t, "bob")
+	if err := f.am.RevokePairing(f.pairing.PairingID); err != nil {
+		t.Fatal(err)
+	}
+	cache := f.enf.Cache()
+	gen := cache.Gen()
+	if err := f.enf.StartInvalidationStream("bob"); !errors.Is(err, amclient.ErrStreamFailed) {
+		t.Fatalf("err = %v, want ErrStreamFailed for a revoked pairing", err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for cache.Gen() == gen {
+		if time.Now().After(deadline) {
+			t.Fatal("the outage never dropped the cache")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	key := cacheKey("tok", "pics", core.ActionRead)
+	cache.PutScopedAt(cache.Gen(), key, EntryScope{Owner: "carol", Realm: "albums"}, true, 600)
+	time.Sleep(25 * f.enf.streamRetry) // ~25 failed retries
+	if _, ok := cache.Get(key); !ok {
+		t.Fatal("a retry of the failed subscription dropped the cache again")
+	}
+}
+
+// TestInvalidationStreamEndsOnUnpair: Unpair ends the owner's
+// subscription at the AM instead of leaving it running until Close.
+func TestInvalidationStreamEndsOnUnpair(t *testing.T) {
+	f := newStreamFixture(t, "bob")
+	if err := f.enf.StartInvalidationStream("bob"); err != nil {
+		t.Fatal(err)
+	}
+	f.waitSubscribed(t)
+	if err := f.enf.Unpair("bob"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for f.am.Events().Health().Subscribers[core.EventInvalidation] > 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the subscription outlived Unpair")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // TestStreamRequiresPairing: subscribing for an unpaired owner fails fast.

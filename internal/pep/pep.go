@@ -75,10 +75,6 @@ type Config struct {
 	// against a durable (WAL-backed) store keeps its AM trust
 	// relationships. nil keeps pairings in memory only.
 	Store *store.Store
-	// StreamRetry is how long an invalidation-stream goroutine pauses
-	// after the stream fails persistently before trying again; 0 means
-	// DefaultStreamRetry. See StartInvalidationStream.
-	StreamRetry time.Duration
 }
 
 // Store kinds used by the enforcer for persisted pairing state.
@@ -120,7 +116,7 @@ type Enforcer struct {
 	streamCtx    context.Context
 	streamCancel context.CancelFunc
 	streamWG     sync.WaitGroup
-	streamRetry  time.Duration
+	streamRetry  time.Duration // DefaultStreamRetry outside tests
 
 	// flights collapses concurrent decision queries for one cache key into
 	// a single signed round-trip (see singleflight.go).
@@ -132,6 +128,8 @@ type Enforcer struct {
 	// extension where "a User may ... delegate access control for
 	// different resources to different AMs as well".
 	realmPairings map[realmKey]Pairing
+	// streams holds each owner's invalidation subscription (events.go).
+	streams map[core.UserID]*invalidationSub
 }
 
 // realmKey identifies an owner's realm at this Host.
@@ -154,10 +152,6 @@ func New(cfg Config) *Enforcer {
 	if name == "" {
 		name = string(cfg.Host)
 	}
-	retry := cfg.StreamRetry
-	if retry <= 0 {
-		retry = DefaultStreamRetry
-	}
 	e := &Enforcer{
 		host:          cfg.Host,
 		name:          name,
@@ -166,9 +160,10 @@ func New(cfg Config) *Enforcer {
 		cache:         cache,
 		tracer:        cfg.Tracer,
 		store:         cfg.Store,
-		streamRetry:   retry,
+		streamRetry:   DefaultStreamRetry,
 		pairings:      make(map[core.UserID]Pairing),
 		realmPairings: make(map[realmKey]Pairing),
+		streams:       make(map[core.UserID]*invalidationSub),
 	}
 	e.streamCtx, e.streamCancel = context.WithCancel(context.Background())
 	e.loadPairings()
@@ -180,7 +175,11 @@ func New(cfg Config) *Enforcer {
 // enforcement surface (Check, Require) keeps working — only push-driven
 // freshness stops.
 func (e *Enforcer) Close() error {
+	// Cancel under mu: StartInvalidationStream checks the context under mu
+	// before it adds to streamWG, so no subscription starts after Wait.
+	e.mu.Lock()
 	e.streamCancel()
+	e.mu.Unlock()
 	e.streamWG.Wait()
 	return nil
 }
@@ -299,6 +298,12 @@ func (e *Enforcer) HandlePairCallback(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
+	// Subscribe to the owner's invalidation events, so a revocation
+	// reaches this Host's cache at once instead of at TTL expiry. The
+	// subscription runs in the background, retrying (and tracing) when it
+	// fails; the pairing itself has succeeded either way, so the redirect
+	// does not wait on the AM's events route.
+	go e.StartInvalidationStream(user)
 	// "a User is redirected back to the Host to be acknowledged that a
 	// secure communication channel has been established" (Section V.B.1).
 	w.Header().Set("Content-Type", "application/json")
@@ -391,13 +396,17 @@ func (e *Enforcer) Delegated(owner core.UserID) bool {
 	return ok
 }
 
-// Unpair drops the owner's pairing (e.g. after the AM reports it revoked).
-// The in-memory pairing is removed unconditionally (fail-safe for a
-// revocation); a non-nil error means the persisted copy may survive and
-// resurrect on the next restart.
+// Unpair drops the owner's pairing (e.g. after the AM reports it revoked)
+// and ends the owner's invalidation subscription. The in-memory pairing is
+// removed unconditionally (fail-safe for a revocation); a non-nil error
+// means the persisted copy may survive and resurrect on the next restart.
 func (e *Enforcer) Unpair(owner core.UserID) error {
 	e.mu.Lock()
 	delete(e.pairings, owner)
+	if sub := e.streams[owner]; sub != nil {
+		sub.cancel()
+		delete(e.streams, owner)
+	}
 	e.mu.Unlock()
 	if e.store == nil {
 		return nil

@@ -18,14 +18,14 @@ func TestDecisionCacheBasics(t *testing.T) {
 	if _, ok := c.Get(key); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put(key, true, 60)
+	c.PutScopedAt(c.Gen(), key, EntryScope{}, true, 60)
 	permit, ok := c.Get(key)
 	if !ok || !permit {
 		t.Fatalf("permit=%v ok=%v", permit, ok)
 	}
 	// Deny decisions cache too.
 	key2 := cacheKey("tok", "photo-1", core.ActionWrite)
-	c.Put(key2, false, 60)
+	c.PutScopedAt(c.Gen(), key2, EntryScope{}, false, 60)
 	permit, ok = c.Get(key2)
 	if !ok || permit {
 		t.Fatalf("permit=%v ok=%v", permit, ok)
@@ -45,7 +45,7 @@ func TestDecisionCacheTTL(t *testing.T) {
 	now := base
 	c.SetClock(func() time.Time { return now })
 	key := cacheKey("tok", "r", core.ActionRead)
-	c.Put(key, true, 10)
+	c.PutScopedAt(c.Gen(), key, EntryScope{}, true, 10)
 	if _, ok := c.Get(key); !ok {
 		t.Fatal("fresh entry missed")
 	}
@@ -58,8 +58,8 @@ func TestDecisionCacheTTL(t *testing.T) {
 func TestDecisionCacheZeroTTLNotStored(t *testing.T) {
 	c := NewDecisionCache()
 	key := cacheKey("tok", "r", core.ActionRead)
-	c.Put(key, true, 0)
-	c.Put(key, true, -5)
+	c.PutScopedAt(c.Gen(), key, EntryScope{}, true, 0)
+	c.PutScopedAt(c.Gen(), key, EntryScope{}, true, -5)
 	if c.Len() != 0 {
 		t.Fatal("non-positive TTL entries stored")
 	}
@@ -67,8 +67,8 @@ func TestDecisionCacheZeroTTLNotStored(t *testing.T) {
 
 func TestDecisionCacheInvalidate(t *testing.T) {
 	c := NewDecisionCache()
-	c.Put(cacheKey("t", "a", core.ActionRead), true, 60)
-	c.Put(cacheKey("t", "b", core.ActionRead), true, 60)
+	c.PutScopedAt(c.Gen(), cacheKey("t", "a", core.ActionRead), EntryScope{}, true, 60)
+	c.PutScopedAt(c.Gen(), cacheKey("t", "b", core.ActionRead), EntryScope{}, true, 60)
 	c.Invalidate()
 	if c.Len() != 0 {
 		t.Fatal("entries survived invalidate")
@@ -101,7 +101,7 @@ func TestDecisionCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
 				key := cacheKey("tok", core.ResourceID(rune('a'+n)), core.ActionRead)
-				c.Put(key, true, 60)
+				c.PutScopedAt(c.Gen(), key, EntryScope{}, true, 60)
 				c.Get(key)
 			}
 		}(i)

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"umac/internal/amclient"
 	"umac/internal/core"
 )
 
@@ -17,8 +18,9 @@ import (
 // plane: consent resolution arrives over GET /v1/events/consent with no
 // polling loop — only the single post-subscribe status check that closes
 // the resolved-before-subscribe race — a resync marker triggers exactly
-// one extra status check, and Close unblocks a parked consent wait
-// immediately.
+// one extra status check, an owner who never acts times the wait out, a
+// rejected subscription fails it, and Close unblocks a parked consent
+// wait immediately.
 
 // sseAM is a fake AM whose consent channel is the event stream.
 type sseAM struct {
@@ -188,29 +190,47 @@ func TestConsentResolvedBeforeSubscribe(t *testing.T) {
 	}
 }
 
-// TestConsentStreamDisabledPinsPolling: DisableConsentStream never touches
-// the events endpoint.
-func TestConsentStreamDisabledPinsPolling(t *testing.T) {
+// TestConsentStreamTimeout: an owner who never acts ends the wait with
+// ErrConsentTimeout once ConsentTimeout has passed.
+func TestConsentStreamTimeout(t *testing.T) {
 	am := newSSEAM(t)
-	am.statusResponse = core.ConsentStatus{
-		Ticket: "ticket-1", Resolved: true, Approved: true, Token: "tok-good",
-	}
+	release := make(chan struct{})
+	defer close(release)
 	am.serveStream = func(w http.ResponseWriter, flush func(), ticket string) {
-		t.Error("stream subscribed despite DisableConsentStream")
+		<-release // hold the stream open, delivering nothing
+	}
+	host := newFakeHost(t, am.srv.URL, "never")
+	c := New(Config{ID: "app-1", ConsentTimeout: 50 * time.Millisecond})
+	_, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead)
+	if !errors.Is(err, ErrConsentTimeout) {
+		t.Fatalf("err = %v, want ErrConsentTimeout", err)
+	}
+}
+
+// TestConsentStreamRejectedFails: an AM that rejects the consent
+// subscription (here one without the events surface, answering 404)
+// fails the wait at once with amclient.ErrStreamFailed; the requester
+// does not poll the status endpoint instead.
+func TestConsentStreamRejectedFails(t *testing.T) {
+	am := newFakeAM(t)
+	am.respond = func(core.TokenRequest) (int, core.TokenResponse) {
+		return 202, core.TokenResponse{PendingConsent: "ticket-1"}
+	}
+	am.statusResponses = []core.ConsentStatus{
+		{Ticket: "ticket-1", Resolved: true, Approved: true, Token: "tok-good"},
 	}
 	host := newFakeHost(t, am.srv.URL, "tok-good")
-	c := New(Config{
-		ID: "app-1", DisableConsentStream: true,
-		ConsentPollInterval: time.Millisecond, ConsentTimeout: 5 * time.Second,
-	})
-	if _, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead); err != nil {
-		t.Fatal(err)
+	c := New(Config{ID: "app-1", ConsentTimeout: 5 * time.Second})
+	start := time.Now()
+	_, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead)
+	if !errors.Is(err, amclient.ErrStreamFailed) {
+		t.Fatalf("err = %v, want ErrStreamFailed", err)
 	}
-	if am.streamCalls.Load() != 0 {
-		t.Fatalf("stream subscriptions = %d, want 0", am.streamCalls.Load())
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("rejection took %v; a 404 subscription must fail at once", elapsed)
 	}
-	if am.statusCalls.Load() == 0 {
-		t.Fatal("polling path never polled")
+	if n := am.statusCalls.Load(); n != 0 {
+		t.Fatalf("status calls = %d, want 0 (no polling path)", n)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"umac/internal/core"
 	"umac/internal/pep"
@@ -18,6 +17,9 @@ type fakeAM struct {
 	srv *httptest.Server
 	// respond builds the token response for a request.
 	respond func(req core.TokenRequest) (int, core.TokenResponse)
+	// denial, when set, answers every token request with this v1 error
+	// envelope instead of calling respond.
+	denial *core.APIError
 	// consent state for /token/status.
 	statusResponses []core.ConsentStatus
 	statusCalls     atomic.Int32
@@ -32,6 +34,11 @@ func newFakeAM(t *testing.T) *fakeAM {
 		f.tokenCalls.Add(1)
 		var req core.TokenRequest
 		json.NewDecoder(r.Body).Decode(&req)
+		if f.denial != nil {
+			w.WriteHeader(f.denial.Status)
+			json.NewEncoder(w).Encode(f.denial)
+			return
+		}
 		status, resp := f.respond(req)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(status)
@@ -132,9 +139,7 @@ func TestTokenCachedAcrossRequests(t *testing.T) {
 
 func TestDeniedSurfacesErrDenied(t *testing.T) {
 	am := newFakeAM(t)
-	am.respond = func(core.TokenRequest) (int, core.TokenResponse) {
-		return 403, core.TokenResponse{}
-	}
+	am.denial = &core.APIError{Code: core.CodeAccessDenied, Status: http.StatusForbidden, Message: "am: access denied"}
 	host := newFakeHost(t, am.srv.URL, "never")
 	c := New(Config{ID: "app-1", Subject: "mallory"})
 	_, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead)
@@ -175,63 +180,6 @@ func TestClaimsSentWithTokenRequest(t *testing.T) {
 	}
 	if got["payment"] != "r-1" || got["tier"] != "gold" {
 		t.Fatalf("claims = %v", got)
-	}
-}
-
-func TestConsentPollingApproved(t *testing.T) {
-	am := newFakeAM(t)
-	am.respond = func(core.TokenRequest) (int, core.TokenResponse) {
-		return 202, core.TokenResponse{PendingConsent: "ticket-1"}
-	}
-	am.statusResponses = []core.ConsentStatus{
-		{Ticket: "ticket-1"},
-		{Ticket: "ticket-1"},
-		{Ticket: "ticket-1", Resolved: true, Approved: true, Token: "tok-good"},
-	}
-	host := newFakeHost(t, am.srv.URL, "tok-good")
-	c := New(Config{
-		ID: "app-1", Subject: "evelyn",
-		ConsentPollInterval: time.Millisecond, ConsentTimeout: time.Second,
-	})
-	body, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) != "protected content" {
-		t.Fatalf("body = %q", body)
-	}
-	if am.statusCalls.Load() != 3 {
-		t.Fatalf("status polls = %d", am.statusCalls.Load())
-	}
-}
-
-func TestConsentPollingDenied(t *testing.T) {
-	am := newFakeAM(t)
-	am.respond = func(core.TokenRequest) (int, core.TokenResponse) {
-		return 202, core.TokenResponse{PendingConsent: "ticket-1"}
-	}
-	am.statusResponses = []core.ConsentStatus{
-		{Ticket: "ticket-1", Resolved: true, Approved: false},
-	}
-	host := newFakeHost(t, am.srv.URL, "never")
-	c := New(Config{ID: "app-1", ConsentPollInterval: time.Millisecond, ConsentTimeout: time.Second})
-	_, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead)
-	if !errors.Is(err, ErrConsentDenied) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestConsentPollingTimeout(t *testing.T) {
-	am := newFakeAM(t)
-	am.respond = func(core.TokenRequest) (int, core.TokenResponse) {
-		return 202, core.TokenResponse{PendingConsent: "ticket-1"}
-	}
-	am.statusResponses = []core.ConsentStatus{{Ticket: "ticket-1"}} // never resolves
-	host := newFakeHost(t, am.srv.URL, "never")
-	c := New(Config{ID: "app-1", ConsentPollInterval: time.Millisecond, ConsentTimeout: 20 * time.Millisecond})
-	_, err := c.Fetch(host.srv.URL+"/res-1", core.ActionRead)
-	if !errors.Is(err, ErrConsentTimeout) {
-		t.Fatalf("err = %v", err)
 	}
 }
 

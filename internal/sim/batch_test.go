@@ -248,7 +248,7 @@ func TestScopedInvalidationKeepsUnrelatedEntries(t *testing.T) {
 	if err := w.AM.LinkGeneral("bob", "work", workPol.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.SubscribeInvalidations(h, "bob"); err != nil {
+	if err := w.SettleInvalidations(h.Enforcer, "bob"); err != nil {
 		t.Fatal(err)
 	}
 

@@ -153,10 +153,10 @@ func RunChurnWorkload(cfg ChurnConfig) (ChurnResult, error) {
 		return nil
 	}
 
-	// Subscribe only now: the setup's own invalidations (the policy links
-	// above) are not replayed, so none can race the warmup fill and drop
-	// it via the generation guard.
-	if err := w.SubscribeInvalidations(h, "bob"); err != nil {
+	// Settle the stream pairing opened: once the setup's own invalidations
+	// (the policy links above) have landed, none can race the warmup fill
+	// and drop it via the generation guard.
+	if err := w.SettleInvalidations(h.Enforcer, "bob"); err != nil {
 		return result, err
 	}
 	// Warm the cache, then exclude warmup traffic from the counters.

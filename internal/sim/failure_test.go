@@ -103,10 +103,16 @@ func TestAMDownYieldsBadGateway(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Cached accesses keep working while the AM is down (availability win
-	// of decision caching).
-	w.AMServer.Close()
+	// of decision caching) — also after the Host's invalidation stream has
+	// used up its reconnect attempts (at most ~2.25 s of backoff) and
+	// given up on the AM.
+	w.StopAM()
 	if _, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead); err != nil {
 		t.Fatalf("cached access failed with AM down: %v", err)
+	}
+	time.Sleep(3 * time.Second)
+	if _, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead); err != nil {
+		t.Fatalf("cached access failed once the invalidation stream gave up: %v", err)
 	}
 	// A cold request (cache cleared) cannot reach the AM: the Host reports
 	// a gateway failure rather than silently allowing or denying.
@@ -147,6 +153,8 @@ func TestCacheExpiryPicksUpPolicyChange(t *testing.T) {
 	// effect at the Host once the cached decision expires — the staleness
 	// bound the user controls (Section V.B.5).
 	w, h := setupWorldCfg(t, am.Config{DefaultCacheTTL: time.Second})
+	// The TTL alone: end the invalidation stream pairing subscribed.
+	h.Enforcer.Close()
 	base := time.Now()
 	now := base
 	h.Enforcer.Cache().SetClock(func() time.Time { return now })

@@ -31,7 +31,7 @@ func waitCacheLen(t *testing.T, h *SimpleHost, want int) {
 func TestInvalidationPushRevokesImmediately(t *testing.T) {
 	// Long cache TTL: without the push, the stale permit would survive.
 	w, h := setupWorldCfg(t, am.Config{DefaultCacheTTL: time.Hour})
-	if err := w.SubscribeInvalidations(h, "bob"); err != nil {
+	if err := w.SettleInvalidations(h.Enforcer, "bob"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -98,7 +98,7 @@ func TestInvalidationPushOnGroupChange(t *testing.T) {
 	if err := w.AM.AddGroupMember("bob", "bob", "friends", "alice"); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.SubscribeInvalidations(h, "bob"); err != nil {
+	if err := w.SettleInvalidations(h.Enforcer, "bob"); err != nil {
 		t.Fatal(err)
 	}
 	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice"})
@@ -133,6 +133,9 @@ func TestInvalidationPushOnGroupChange(t *testing.T) {
 // decisions until TTL.
 func TestNoPushWithoutOptIn(t *testing.T) {
 	w, h := setupWorldCfg(t, am.Config{DefaultCacheTTL: time.Hour})
+	// Pairing subscribed the Host; ending that subscription leaves a Host
+	// without one.
+	h.Enforcer.Close()
 	alice := requester.New(requester.Config{ID: "alice-browser", Subject: "alice"})
 	if _, err := alice.Fetch(h.ResourceURL("photo-1"), core.ActionRead); err != nil {
 		t.Fatal(err)

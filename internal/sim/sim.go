@@ -103,8 +103,18 @@ func (w *World) Close() {
 		h.Enforcer.Close() // severs invalidation streams parked on the AM
 		h.Server.Close()
 	}
-	w.AMServer.Close()
+	w.StopAM()
 	w.AM.Close()
+}
+
+// StopAM takes the world's AM off the network the way a crashed AM process
+// would. Closing the broker first ends every event stream it serves —
+// including those of enforcers outside the world, such as the prototype
+// apps' — which httptest's Close alone would wait on forever. Subscribers
+// see their streams fail and fall back to the decision TTL.
+func (w *World) StopAM() {
+	w.AM.Events().Close()
+	w.AMServer.Close()
 }
 
 // Host returns a previously added host by ID.
@@ -152,24 +162,44 @@ func (w *World) AddHost(id core.HostID) *SimpleHost {
 	return h
 }
 
-// SubscribeInvalidations starts h's invalidation stream for owner (who
-// must already be paired with h) and waits until the AM has registered the
-// subscriber. Events published before that point are not replayed to the
-// stream, so call it before the first mutation whose eviction matters.
-func (w *World) SubscribeInvalidations(h *SimpleHost, owner core.UserID) error {
-	subscribers := func() int { return w.AM.Events().Health().Subscribers[core.EventInvalidation] }
-	before := subscribers()
-	if err := h.Enforcer.StartInvalidationStream(owner); err != nil {
-		return err
+// settleOwner scopes the sentinel entry SettleInvalidations plants;
+// no real owner ID carries a NUL byte, so no policy change evicts it.
+const settleOwner core.UserID = "\x00settle"
+
+// SettleInvalidations waits until e's invalidation stream for owner is
+// registered at the AM (owner must already be paired with e; pairing
+// through the callback starts the stream in the background) and has
+// applied every invalidation the AM published before the call. Call it
+// between setup writes and the first cache fill whose fate matters: a
+// setup eviction landing after the fill would evict it, or drop it
+// through the generation guard.
+func (w *World) SettleInvalidations(e *pep.Enforcer, owner core.UserID) error {
+	if err := e.StartInvalidationStream(owner); err != nil {
+		return fmt.Errorf("sim: %s's invalidation stream for %s: %w", e.Host(), owner, err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for subscribers() <= before {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("sim: %s's invalidation stream for %s never subscribed", h.ID, owner)
+	// The stream applies events in order, so once a marker published now
+	// has been applied, every earlier event has been too. The marker rides
+	// owner's stream but names settleOwner, evicting only the sentinel.
+	cache := e.Cache()
+	const sentinel = "sim-settle"
+	for {
+		cache.PutScopedAt(cache.Gen(), sentinel, pep.EntryScope{Owner: settleOwner}, true, 60)
+		if _, ok := cache.Get(sentinel); ok {
+			break
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
-	return nil
+	w.AM.Events().Publish(core.Event{Type: core.EventInvalidation, Owner: owner,
+		Invalidation: &core.InvalidationPush{Owner: settleOwner}})
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok := cache.Get(sentinel); !ok {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("sim: %s never applied the invalidations published for %s", e.Host(), owner)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
 }
 
 // AwaitInvalidation waits until h's decision cache has applied an
@@ -294,25 +324,24 @@ func (ua *UserAgent) Visit(rawURL string) error {
 // the Host, the browser is bounced Host→AM→Host, and the Host exchanges the
 // one-time code for the channel secret.
 func (ua *UserAgent) PairHost(h *SimpleHost, amURL string) error {
-	confirmURL := h.Enforcer.BeginPairing(amURL, ua.User)
-	if err := ua.Visit(confirmURL); err != nil {
-		return fmt.Errorf("sim: pairing: %w", err)
-	}
-	if !h.Enforcer.Delegated(ua.User) {
-		return fmt.Errorf("sim: pairing did not complete for %s at %s", ua.User, h.ID)
-	}
-	return nil
+	return ua.PairEnforcer(h.Enforcer, amURL)
 }
 
 // PairEnforcer drives Fig. 3 for any pep.Enforcer-based application (the
-// prototype apps use this).
+// prototype apps use this). It returns once the invalidation stream the
+// pairing callback starts in the background is registered at the AM, so
+// the setup that follows (counted AM round-trips, cache fills) cannot
+// race that subscription.
 func (ua *UserAgent) PairEnforcer(e *pep.Enforcer, amURL string) error {
 	confirmURL := e.BeginPairing(amURL, ua.User)
 	if err := ua.Visit(confirmURL); err != nil {
 		return fmt.Errorf("sim: pairing: %w", err)
 	}
 	if !e.Delegated(ua.User) {
-		return fmt.Errorf("sim: pairing did not complete for %s", ua.User)
+		return fmt.Errorf("sim: pairing did not complete for %s at %s", ua.User, e.Host())
+	}
+	if err := e.StartInvalidationStream(ua.User); err != nil {
+		return fmt.Errorf("sim: %s's invalidation stream for %s: %w", e.Host(), ua.User, err)
 	}
 	return nil
 }

@@ -20,7 +20,8 @@
 //
 //	// Protect a Host application.
 //	enforcer := umac.NewEnforcer(umac.EnforcerConfig{Host: "webpics"})
-//	// ... pair via enforcer.BeginPairing / HandlePairCallback, then:
+//	// ... pair via enforcer.BeginPairing / HandlePairCallback (which also
+//	// subscribes to the owner's invalidation events), then:
 //	if enforcer.Require(w, r, owner, realm, resource, umac.ActionRead) {
 //	    // serve the resource
 //	}
@@ -162,9 +163,10 @@ type (
 	AuditFilter = amclient.AuditFilter
 	// EventStream is a reconnecting subscription to an AM event endpoint:
 	// it resumes from its cursor across drops and surfaces gaps as resync
-	// events.
+	// events. AwaitConsent waits on it for a consent ticket's resolution.
 	EventStream = amclient.EventStream
-	// StreamConfig configures an AMClient.Stream subscription.
+	// StreamConfig names the events route an AMClient.Stream subscribes
+	// to and its query; reconnect tuning is fixed.
 	StreamConfig = amclient.StreamConfig
 	// Event is one envelope on the AM's event control plane.
 	Event = core.Event
